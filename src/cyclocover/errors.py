@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
 The CLI maps these onto stable exit codes: invalid input -> 4,
-hypothesis not met -> 2, budget exceeded -> 3.
+hypothesis not met -> 2, budget exceeded -> 3; any other package error,
+such as a broken internal invariant, -> 4.
 """
 
 
@@ -65,3 +66,9 @@ class PsiHypothesisNotMet(HypothesisNotMet):
 
 class DegreeBudgetExceeded(CyclocoverError):
     code = "degree-budget-exceeded"
+
+
+class InternalError(CyclocoverError):
+    """A library invariant failed: a bug, never a property of the input."""
+
+    code = "internal-error"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, ParamOutOfRange
-from .ff import FpMultiPoly, FpUniPoly, PrimeField, binomial_mod_p, is_prime_u64
+from .ff import FpMultiPoly, FpUniPoly, PrimeField, is_prime_u64
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,25 @@ class FabcParams:
 
 
 def fabc(params: FabcParams) -> FpUniPoly:
+    """C(a,i) C(b,c-i) = a! b! / (i! (a-i)! (c-i)! (b-c+i)!) from factorial
+    tables: every index is at most max(a, b) < p, so all are units mod p."""
     a, b, c, p = params.a, params.b, params.c, params.p
     field = PrimeField(p)
     lo = max(0, c - b)
     hi = min(a, c)
-    coeffs = [0] * (hi + 1)
-    for i in range(lo, hi + 1):
-        coeffs[i] = binomial_mod_p(a, i, p) * binomial_mod_p(b, c - i, p) % p
+    top = max(a, b)
+    fact = [1] * (top + 1)
+    for n in range(1, top + 1):
+        fact[n] = fact[n - 1] * n % p
+    inv_fact = [1] * (top + 1)
+    inv_fact[top] = pow(fact[top], p - 2, p)
+    for n in range(top, 0, -1):
+        inv_fact[n - 1] = inv_fact[n] * n % p
+    scale = fact[a] * fact[b] % p
+    coeffs = [0] * lo + [
+        scale * inv_fact[i] * inv_fact[a - i] % p * inv_fact[c - i] * inv_fact[b - c + i] % p
+        for i in range(lo, hi + 1)
+    ]
     return FpUniPoly(field, coeffs)
 
 
@@ -117,12 +129,7 @@ def separable_away_from_01(f: FpUniPoly) -> bool:
     """True iff f has only simple roots outside {0, 1}."""
     if f.is_zero:
         raise ParamOutOfRange("zero polynomial")
-    field = f.field
-    for root in (0, 1):
-        k = f.valuation_at(root)
-        lin = FpUniPoly(field, [-root % field.p, 1])
-        for _ in range(k):
-            f = f // lin
+    f = f.strip_root(0)[1].strip_root(1)[1]
     if f.degree == 0:
         return True
     return f.gcd(f.derivative()).degree == 0

@@ -633,15 +633,7 @@ def divisor_bound(ctx: OrbitContext, j1: int, j2: int) -> int:
 
 def _strip_01(f: FpUniPoly) -> FpUniPoly:
     """Divide out all t and (t - 1) factors."""
-    field = f.field
-    v0 = f.valuation_at(0)
-    if v0:
-        f = FpUniPoly(field, f.coeffs[v0:])
-    v1 = f.valuation_at(1)
-    lin = FpUniPoly(field, [field.p - 1, 1])
-    for _ in range(v1):
-        f = f // lin
-    return f
+    return f.strip_root(0)[1].strip_root(1)[1]
 
 
 @dataclass(frozen=True)

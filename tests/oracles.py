@@ -34,6 +34,55 @@ def fabc_brute(a, b, c, p):
     return trim(coeffs)
 
 
+def mul_schoolbook(a, b, p):
+    """Product of two coefficient lists over F_p, term by term."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return trim([c % p for c in out])
+
+
+def divrem_schoolbook(a, b, p):
+    """(quotient, remainder) of a by a nonzero b over F_p, one leading
+    term at a time."""
+    b = trim([c % p for c in b])
+    rem = [c % p for c in a]
+    db = len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    if len(rem) - 1 < db:
+        return [], trim(rem)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = rem[i] * lead_inv % p
+        if q:
+            quot[i - db] = q
+            for j in range(db + 1):
+                rem[i - db + j] = (rem[i - db + j] - q * b[j]) % p
+    return trim(quot), trim(rem[:db])
+
+
+def remainder_sequence(a, b, p):
+    """Euclid's remainders a, b, a mod b, ... over F_p, not made monic,
+    up to the last nonzero one."""
+    seq = [trim([c % p for c in a]), trim([c % p for c in b])]
+    while seq[-1]:
+        seq.append(divrem_schoolbook(seq[-2], seq[-1], p)[1])
+    return seq[:-1]
+
+
+def gcd_euclid(a, b, p):
+    """Monic gcd over F_p by Euclid's algorithm ([] when both are zero)."""
+    g = remainder_sequence(a, b, p)[-1]
+    if not g:
+        return []
+    inv = pow(g[-1], p - 2, p)
+    return [c * inv % p for c in g]
+
+
 def poly_eval_mod(coeffs, x, p):
     acc = 0
     for c in reversed(coeffs):

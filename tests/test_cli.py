@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -500,3 +501,28 @@ def test_fabc_rejects_bad_params(capsys):
                        "-p", "13")
     assert code == 4
     assert err.startswith("error[")
+
+
+# ---------------------------------------------------------------------------
+# byte-identity guard: sha256 of stdout, recorded before the polynomial
+# kernels (gcd, division, multiplication) were replaced by faster ones
+
+STDOUT_SHA256 = [
+    ("census 7:4:3,1,1,2 -p 29 -o json", "1982b9c52a0bdfd5dd694d7afc4ea7739749f9eb790d7638da1f27644d1b02ce"),
+    ("census 7:4:3,1,1,2 -p 113 -o json", "957f2e21bfdff5ceef6e65cc3c9e1b7a6ed2b2232cf1d0c803fab7a452502cae"),
+    ("census 7:4:3,1,1,2 -p 151 -o json", "628fe01eedff12c182c78f9b58fd60eda1f96fbb0e472ad131b56132888b46f9"),
+    ("census 7:4:3,1,1,2 -p 179 -o json", "746efd4ee8a929a38aa7d47fe6c7ff5c9f887fcf2861b4a131c7455ddde94bf2"),
+    ("census 7:4:3,1,1,2 -p 4621 -o json", "f746b3c8dcf03c973a2557c9116fd196adefa4a38ea58085f432aeef17938b1e"),
+    ("survey 7:4:3,1,1,2 --class 1 --count 12", "8d8df4163581f395f4b8cbeb48b19ac6cf8f3df186f740de38caa0e0219a7c15"),
+    ("survey 7:4:3,1,1,2 --class 6 --count 12", "4dd1fe85b3265577a0f981810d7e8760ecad90867e7b5e535c84147a36b4b778"),
+    ("witness 7:4:3,1,1,2 -p 113 --b0 4 --dmax 4 --seed 7", "77f0a0eb10be04ebb1db44ff3ed55705c07e9af0f200e7c196fef647f51438cf"),
+    ("hw h1 7:4:3,1,1,2 -p 151 --b0 2", "daf1b87ebb79a632c5e7d2cac580712fb068ba3b8adabab77c28b4db39db0ddf"),
+    ("hw h1 7:4:3,1,1,2 -p 151 --b0 5", "f6a63c35fd75b8a5e479d00352fba697443c544148382d47358e80aff5960ce9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", STDOUT_SHA256)
+def test_stdout_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

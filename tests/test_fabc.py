@@ -248,3 +248,17 @@ def test_involution(params):
     lhs = fabc(params).scale(binomial_mod_p(a + b, a, p))
     rhs = fabc(FabcParams(c, a + b - c, a, p)).scale(binomial_mod_p(a + b, c, p))
     assert lhs == rhs
+
+
+@given(
+    p=st.sampled_from((179, 4621, 2**31 - 1)),
+    a=st.integers(0, 3000),
+    b=st.integers(0, 3000),
+    frac=st.floats(0, 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fabc_factorial_tables_match_brute_oracle_large_p(p, a, b, frac):
+    # the factorial tables run up to max(a, b), which must stay below p
+    a, b = a % p, b % p
+    c = round(frac * (a + b))
+    assert fabc(FabcParams(a, b, c, p)).to_json() == fabc_brute(a, b, c, p)

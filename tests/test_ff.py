@@ -10,6 +10,11 @@ from cyclocover.ff import (
     FpMultiPoly,
     FpUniPoly,
     PrimeField,
+    _apply,
+    _divrem_coeffs,
+    _gcd_coeffs,
+    _hgcd,
+    _mul_coeffs,
     binomial_mod_p,
     eval_in_ext,
     ext_roots,
@@ -19,7 +24,14 @@ from cyclocover.ff import (
     poly_powmod,
 )
 
-from oracles import binom_mod, sympy_factor
+from oracles import (
+    binom_mod,
+    divrem_schoolbook,
+    gcd_euclid,
+    mul_schoolbook,
+    remainder_sequence,
+    sympy_factor,
+)
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -220,17 +232,19 @@ def test_compose_and_valuation():
 
 def test_valuation_at_random_products():
     rng = random.Random(11)
-    for _ in range(30):
-        c = rng.randrange(13)
-        k = rng.randrange(0, 5)
-        lin = FpUniPoly(F13, [-c, 1])
-        rest = rand_poly(F13, rng.randrange(0, 4), rng)
-        if rest.is_zero or rest.evaluate(c) == 0:
-            continue
-        f = rest
-        for _ in range(k):
-            f = f * lin
-        assert f.valuation_at(c) == k
+    for field in (F13, PrimeField(4621)):
+        for _ in range(30):
+            c = rng.randrange(field.p)
+            k = rng.randrange(0, 5)
+            lin = FpUniPoly(field, [-c, 1])
+            rest = rand_poly(field, rng.randrange(0, 30), rng)
+            if rest.is_zero or rest.evaluate(c) == 0:
+                continue
+            f = rest
+            for _ in range(k):
+                f = f * lin
+            assert f.valuation_at(c) == k
+            assert f.strip_root(c) == (k, rest)
 
 
 @given(n=st.integers(0, 3000), k=st.integers(0, 3000), p=primes)
@@ -394,3 +408,164 @@ def test_text_and_json_forms():
         {"exponents": [0, 1], "coefficient": 3},
         {"exponents": [1, 0], "coefficient": 2},
     ]
+
+
+# ---------------------------------------------------------------------------
+# coefficient-list kernels against the schoolbook and Euclid oracles, at
+# sizes around each threshold (Kronecker products from 32 term pairs,
+# half-gcd from 500 coefficients, its Euclid base below 100)
+
+KERNEL_PRIMES = (3, 5, 4621, 2**31 - 1)
+
+
+def _rand_coeffs(n, p, rng):
+    """n coefficients with a nonzero leading one ([] for n = 0)."""
+    if n == 0:
+        return []
+    return [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_mul_kernel_matches_schoolbook(p):
+    rng = random.Random(p)
+    sizes = [(0, 5), (1, 1), (1, 31), (1, 32), (4, 8), (5, 7), (6, 6), (2, 17),
+             (39, 39), (40, 40), (41, 3), (99, 100), (101, 101), (499, 2), (500, 501), (1500, 60)]
+    for la, lb in sizes:
+        a, b = _rand_coeffs(la, p, rng), _rand_coeffs(lb, p, rng)
+        assert _mul_coeffs(a, b, p) == mul_schoolbook(a, b, p), (la, lb)
+        assert _mul_coeffs(b, a, p) == mul_schoolbook(a, b, p), (lb, la)
+        assert _mul_coeffs(a, a, p) == mul_schoolbook(a, a, p), (la, la)
+    # the largest coefficient everywhere: every slot at its bound
+    full = [p - 1] * 700
+    assert _mul_coeffs(full, full, p) == mul_schoolbook(full, full, p)
+    sparse = [1] + [0] * 998 + [p - 1]
+    assert _mul_coeffs(sparse, full, p) == mul_schoolbook(sparse, full, p)
+
+
+@given(
+    p=st.sampled_from(KERNEL_PRIMES),
+    la=st.integers(0, 300),
+    lb=st.integers(0, 300),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_mul_kernel_property(p, la, lb, seed):
+    rng = random.Random(seed)
+    a, b = _rand_coeffs(la, p, rng), _rand_coeffs(lb, p, rng)
+    assert _mul_coeffs(a, b, p) == mul_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_divrem_kernel_matches_schoolbook(p):
+    rng = random.Random(p + 1)
+    # quotient lengths 1, 2, 3, around 32 (Newton from there on) and
+    # long, against divisors shorter and more than twice longer
+    sizes = [(0, 3), (5, 1), (1500, 1), (40, 41), (41, 41), (42, 41), (43, 41), (52, 50),
+             (61, 30), (61, 31), (81, 50), (100, 68), (100, 99), (101, 40), (500, 250),
+             (501, 499), (1000, 2), (1500, 700), (1400, 1300), (1600, 1400)]
+    for la, lb in sizes:
+        a, b = _rand_coeffs(la, p, rng), _rand_coeffs(lb, p, rng)
+        quot, rem = _divrem_coeffs(a, b, p)
+        assert (quot, rem) == divrem_schoolbook(a, b, p), (la, lb)
+        # exact division leaves no remainder and gives the cofactor back
+        assert _divrem_coeffs(mul_schoolbook(a, b, p), b, p) == (a, []), (la, lb)
+
+
+@given(
+    p=st.sampled_from(KERNEL_PRIMES),
+    la=st.integers(0, 300),
+    lb=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_divrem_kernel_property(p, la, lb, seed):
+    rng = random.Random(seed)
+    a, b = _rand_coeffs(la, p, rng), _rand_coeffs(lb, p, rng)
+    assert _divrem_coeffs(a, b, p) == divrem_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_kernel_matches_euclid(p):
+    rng = random.Random(p + 2)
+    # (cofactor a, cofactor b, planted common factor) lengths: around the
+    # half-gcd threshold, its Euclid base, equal degrees, a planted factor
+    # longer than both cofactors, and coprime pairs
+    cases = [(1, 1, 499), (1, 2, 499), (2, 1, 500), (301, 201, 200), (400, 400, 100),
+             (99, 101, 400), (1, 1, 1500), (700, 800, 1), (500, 500, 1), (1200, 300, 1)]
+    for la, lb, lc in cases:
+        common = _rand_coeffs(lc, p, rng)
+        a = mul_schoolbook(_rand_coeffs(la, p, rng), common, p)
+        b = mul_schoolbook(_rand_coeffs(lb, p, rng), common, p)
+        g = _gcd_coeffs(a, b, p)
+        assert g == gcd_euclid(a, b, p), (la, lb, lc)
+        assert g == _gcd_coeffs(b, a, p)
+        assert divrem_schoolbook(g, common, p)[1] == []  # the planted factor divides it
+    big = _rand_coeffs(900, p, rng)
+    assert _gcd_coeffs(big, [], p) == gcd_euclid(big, [], p)
+    assert _gcd_coeffs([], big, p) == gcd_euclid(big, [], p)
+    assert _gcd_coeffs([], [], p) == []
+    assert _gcd_coeffs(big, [rng.randrange(1, p)], p) == [1]
+
+
+@given(
+    p=st.sampled_from(KERNEL_PRIMES),
+    la=st.integers(0, 250),
+    lb=st.integers(0, 250),
+    lc=st.integers(1, 400),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=25, deadline=None)
+def test_gcd_kernel_property(p, la, lb, lc, seed):
+    rng = random.Random(seed)
+    common = _rand_coeffs(lc, p, rng)
+    a = mul_schoolbook(_rand_coeffs(la, p, rng), common, p)
+    b = mul_schoolbook(_rand_coeffs(lb, p, rng), common, p)
+    assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p)
+
+
+@pytest.mark.parametrize("p", (5, 4621))
+def test_half_gcd_stops_at_half_the_degree(p):
+    # M (a, b) must be the consecutive pair of Euclid remainders that
+    # straddles m = ceil(deg a / 2), whatever path the recursion took
+    rng = random.Random(p + 3)
+    for la, lb, lc in ((150, 149, 1), (600, 599, 1), (700, 650, 1), (400, 300, 300), (1100, 1000, 1)):
+        common = _rand_coeffs(lc, p, rng)
+        a = mul_schoolbook(_rand_coeffs(la, p, rng), common, p)
+        b = mul_schoolbook(_rand_coeffs(lb, p, rng), common, p)
+        m = len(a) // 2
+        c, d = _apply(_hgcd(a, b, p), a, b, p)
+        seq = remainder_sequence(a, b, p) + [[]]
+        i = next(i for i in range(len(seq)) if len(seq[i + 1]) <= m)
+        assert (c, d) == (seq[i], seq[i + 1]), (la, lb, lc)
+
+
+def test_gcd_matches_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcd
+
+    rng = random.Random(47)
+    for p, la, lb, lc in ((5, 300, 260, 250), (4621, 520, 510, 40), (2**31 - 1, 600, 20, 3)):
+        field = PrimeField(p)
+        common = FpUniPoly(field, _rand_coeffs(lc, p, rng))
+        a = FpUniPoly(field, _rand_coeffs(la, p, rng)) * common
+        b = FpUniPoly(field, _rand_coeffs(lb, p, rng)) * common
+        want = gf_gcd(list(reversed(a.coeffs)), list(reversed(b.coeffs)), p, ZZ)
+        assert list(a.gcd(b).coeffs) == [int(c) for c in reversed(want)]
+
+
+def test_gcd_on_the_m7_composite():
+    from cyclocover.hassewitt import OrbitContext, _strip_01, h1
+    from cyclocover.monodromy import MonodromyDatum
+
+    p = 31  # class 3 mod 7: a two-step twisted chain
+    f = _strip_01(h1(OrbitContext(MonodromyDatum(7, 4, (3, 1, 1, 2)), p, 5)))
+    assert f.degree > 100
+    coeffs = list(f.coeffs)
+    deriv = list(f.derivative().coeffs)
+    assert _gcd_coeffs(coeffs, deriv, p) == gcd_euclid(coeffs, deriv, p) == [1]
+    # f^5 has degree above the half-gcd threshold; gcd(f^5, (f^5)') = f^4
+    f5 = f * f * f * f * f
+    assert f5.degree >= 500
+    g = f5.gcd(f5.derivative())
+    assert list(g.coeffs) == gcd_euclid(list(f5.coeffs), list(f5.derivative().coeffs), p)
+    assert g == (f * f * f * f).monic()
