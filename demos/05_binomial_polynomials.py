@@ -23,10 +23,11 @@ params = FabcParams(5, 7, 9, p)
 f = fabc(params)
 print(f"f(5,7,9) over F_{p}:", f.to_text())
 
-# degree and the root orders at t=0 and t=1 have closed forms; the
-# profile asserts them against the constructed polynomial
+# degree and the root orders at t=0 and t=1 have closed forms in the
+# parameters; the constructed polynomial agrees
 deg, vt, vt1 = fabc_profile(params)
 print(f"  degree {deg}, order {vt} at t=0, order {vt1} at t=1")
+print("  matches the polynomial:", (f.degree, f.valuation_at(0), f.valuation_at(1)) == (deg, vt, vt1))
 
 # Pascal-style recurrences tie neighbouring parameters together
 g1 = fabc(FabcParams(5, 7, 8, p)) + fabc(FabcParams(5, 7, 9, p))

@@ -23,6 +23,7 @@ Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -60,6 +61,7 @@ from .monodromy import (
     genus,
     parse_datum,
     signature,
+    _is_int,
 )
 from .strata import census, mu_ordinary_family, ord_polygon, polygon_sum, survey_primes
 
@@ -204,12 +206,33 @@ def _census_human_rows(rec: dict) -> list:
 # ---------------------------------------------------------------------------
 # census record cache
 
+_STRATUM_KEYS = ["certificate", "dim", "label", "nonempty"]
+
+
+def _is_census_record(rec) -> bool:
+    """Whether rec has the shape CensusReport.to_json_record writes."""
+    if not (isinstance(rec, dict) and sorted(rec) == ["class", "p", "strata"]):
+        return False
+    strata = rec["strata"]
+    if not (_is_int(rec["p"]) and _is_int(rec["class"])
+            and isinstance(strata, list) and strata):
+        return False
+    return all(
+        isinstance(s, dict) and sorted(s) == _STRATUM_KEYS
+        and isinstance(s["label"], str)
+        and (s["dim"] is None or _is_int(s["dim"]))
+        and isinstance(s["nonempty"], bool)
+        and (s["certificate"] is None or isinstance(s["certificate"], str))
+        for s in strata
+    )
+
+
 class RecordCache:
     """Append-only JSON-lines store of census records.
 
-    Inert when no cache_dir is configured.  Unreadable lines are treated
-    as misses so a damaged file degrades to recomputation, never to a
-    wrong answer."""
+    Inert when no cache_dir is configured.  Unreadable lines and records
+    of the wrong shape are treated as misses, so a damaged file degrades
+    to recomputation, never to a wrong answer or a crash."""
 
     def __init__(self, cache_dir: Optional[str]):
         self.path = os.path.join(cache_dir, "census-cache.jsonl") if cache_dir else None
@@ -224,7 +247,8 @@ class RecordCache:
                         obj = json.loads(raw)
                     except ValueError:
                         continue
-                    if isinstance(obj, dict) and "key" in obj and "record" in obj:
+                    if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
+                            and _is_census_record(obj.get("record"))):
                         self._records[obj["key"]] = obj["record"]
 
     @staticmethod
@@ -633,6 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on the first call to main."""
+    return build_parser()
+
+
 def _fail(exc: CyclocoverError, status: int) -> int:
     sys.stderr.write(f"error[{exc.code}]: {exc}\n")
     return status
@@ -640,7 +670,7 @@ def _fail(exc: CyclocoverError, status: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = build_config(args)
         if cfg.output == "csv" and args.command not in _CSV_COMMANDS:
             raise InvalidInput("csv output is only available for census and survey")

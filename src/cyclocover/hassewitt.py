@@ -24,6 +24,7 @@ from .errors import (
     DegreeBudgetExceeded,
     HypothesisNotMet,
     IndexOutOfRange,
+    InternalError,
     InvalidInput,
     ParamOutOfRange,
     PDividesM,
@@ -373,13 +374,22 @@ def specialize_infty(f: FpMultiPoly) -> FpUniPoly:
     return filtered.substitute_values({0: 1, 2: 1, 3: 1}).to_unipoly(1)
 
 
-def _phi_closed_form(field: PrimeField, bs, n: int) -> Optional[FpUniPoly]:
-    # valid when the extremal monomials carry the full first exponent and
-    # miss the last variable entirely
+def _phi_fabc_params(p: int, bs, n: int) -> Optional[FabcParams]:
+    """Parameters of the f(a,b,c) that the specialized degree-n phi slice
+    equals up to the sign (-1)^n, or None outside the window where that
+    holds: the extremal monomials must carry the full first exponent and
+    miss the last variable entirely."""
     c = n - bs[0]
-    if field.p == 2 or not 0 <= c <= bs[1] + bs[2]:
+    if p == 2 or not 0 <= c <= bs[1] + bs[2]:
         return None
-    poly = fabc(FabcParams(bs[1], bs[2], c, field.p))
+    return FabcParams(bs[1], bs[2], c, p)
+
+
+def _phi_closed_form(field: PrimeField, bs, n: int) -> Optional[FpUniPoly]:
+    params = _phi_fabc_params(field.p, bs, n)
+    if params is None:
+        return None
+    poly = fabc(params)
     return poly if n % 2 == 0 else poly.scale(field.p - 1)
 
 
@@ -488,7 +498,8 @@ def specialized_chain(ctx: OrbitContext) -> SpecializedChain:
 
 def _mat_mul_uni(a, b):
     rows, mid, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == mid
+    if len(a[0]) != mid:
+        raise InternalError(f"chain layers do not compose: {len(a[0])} columns, {mid} rows")
     out = []
     for i in range(rows):
         row = []
@@ -515,10 +526,7 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
     for i, mat in enumerate(sc.matrices):
         dmax = max((e.degree or 0) for row in mat for e in row)
         est += dmax * (ctx.p ** (ctx.i0 - 1 - i))
-    if est >= budget:
-        raise DegreeBudgetExceeded(
-            f"composite degree ~{est} exceeds the budget {budget}"
-        )
+    _check_composite_degree(est, budget)
     acc = None
     for i in range(ctx.i0 - 1, -1, -1):
         twisted = [
@@ -526,6 +534,32 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
         ]
         acc = twisted if acc is None else _mat_mul_uni(acc, twisted)
     return acc[0][0]
+
+
+def _check_composite_degree(est: int, budget: int) -> None:
+    if est >= budget:
+        raise DegreeBudgetExceeded(
+            f"composite degree ~{est} exceeds the budget {budget}"
+        )
+
+
+def h1_fabc_params(
+    ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET
+) -> Optional[FabcParams]:
+    """Parameters with h1 = +-f(a,b,c), when h1 is a single phi entry in
+    the closed-form window: i0 = 1, so dims (1, 1), and the one step has
+    kind phi.  This is every balanced pair's chain when p = +-1 mod m.
+    None for every other chain shape.
+
+    Refuses, exactly as h1 does, when the entry degree min(a, c) reaches
+    the budget."""
+    if ctx.datum.r != 4 or ctx.i0 != 1 or ctx.kinds[0] != KIND_PHI:
+        return None
+    bs = branch_exponents(ctx.ordered_datum, ctx.p, ctx.chain_chars[0])
+    params = _phi_fabc_params(ctx.p, bs, sum(bs) - ctx.p + 1)
+    if params is not None:
+        _check_composite_degree(min(params.a, params.c), budget)
+    return params
 
 
 @dataclass(frozen=True)
@@ -569,7 +603,10 @@ def h1_profile(ctx: OrbitContext) -> H1Profile:
                     )
                 ev = entry.valuation_at(0)
                 ed = entry.degree
-                assert ev < p and ed < p
+                if not (ev < p and ed < p):
+                    raise InternalError(
+                        f"chain entry of degree {ed} (valuation {ev}) reaches p = {p}"
+                    )
                 cand_v = vmin[j] + weight * ev
                 cand_d = dmax[j] + weight * ed
                 if jp not in nvmin or cand_v < nvmin[jp]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
+    InternalError,
     InvalidInput,
     NotAdmissible,
     NotGenerating,
@@ -58,12 +59,32 @@ def validate(m: int, r: int, a) -> MonodromyDatum:
     return MonodromyDatum(m, r, tuple(a))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _datum_from_json(text: str) -> MonodromyDatum:
+    """The object form {"m": int, "r": int, "a": [int, ...]} that to_json
+    writes, and nothing looser."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InvalidInput(f"bad datum JSON: {e}") from None
+    if not isinstance(obj, dict) or sorted(obj) != ["a", "m", "r"]:
+        raise InvalidInput(f"datum JSON needs exactly the keys m, r and a: got {text!r}")
+    m, r, a = obj["m"], obj["r"], obj["a"]
+    if not (_is_int(m) and _is_int(r)):
+        raise InvalidInput(f"datum m and r must be integers: got {text!r}")
+    if not (isinstance(a, list) and all(_is_int(x) for x in a)):
+        raise InvalidInput(f"datum labels a must be a list of integers: got {text!r}")
+    return validate(m, r, a)
+
+
 def parse_datum(text: str) -> MonodromyDatum:
     """Parse 'm:r:a1,a2,...,ar' or the JSON object form."""
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
-        return validate(int(obj["m"]), int(obj["r"]), [int(x) for x in obj["a"]])
+        return _datum_from_json(text)
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidInput(f"datum must look like m:r:a1,...,ar: got {text!r}")
@@ -104,7 +125,8 @@ def signature(d: MonodromyDatum) -> tuple:
     f = [0] * m
     for i in range(1, m):
         s = sum(i * ak % m for ak in d.a)
-        assert s % m == 0
+        if s % m:
+            raise InternalError(f"residue sum {s} at index {i} is not divisible by m = {m}")
         f[i] = s // m - 1
     return tuple(f)
 
@@ -113,7 +135,8 @@ def genus(d: MonodromyDatum) -> int:
     """Riemann-Hurwitz for the cyclic cover: 2g - 2 = -2m + sum(m - gcd(a(i), m))."""
     ram = sum(d.m - math.gcd(ak, d.m) for ak in d.a)
     two_g = 2 - 2 * d.m + ram
-    assert two_g % 2 == 0 and two_g >= 0
+    if two_g % 2 or two_g < 0:
+        raise InternalError(f"Riemann-Hurwitz gives 2g = {two_g} for {d.to_text()}")
     return two_g // 2
 
 

@@ -12,10 +12,14 @@ on both sides) contributes an independent binary choice: its piece stays
 generic or drops to the isoclinic bottom, according to whether the
 specialized chain polynomial phi_c vanishes at the curve coordinate.
 The census decides each vanishing pattern exactly, by gcds and cofactors
-of the stripped squarefree parts of the phi_c, and attaches those
-polynomials as certificates.  In the remaining congruence classes only
-the generic/non-generic split is reported, certified by the chain
-polynomial at the smallest anchor character.
+of the radicals of the phi_c away from 0 and 1, and attaches those
+polynomials as certificates.  In these classes phi_c is a single entry
++-f(a,b,c), and its radical comes from the closed form
+f(strip(a,b,c).reduced) with no chain composite and no gcd(f, f').  In
+the remaining congruence classes only the generic/non-generic split is
+reported, certified by the radical of the chain polynomial at the
+smallest anchor character: by the same closed form when that chain is a
+single phi entry, otherwise by stripping and a squarefree decomposition.
 """
 
 import csv
@@ -35,7 +39,7 @@ from .errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from .fabc import FabcParams, fabc
+from .fabc import FabcParams, fabc, strip
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtFieldElem,
@@ -49,6 +53,7 @@ from .hassewitt import (
     OrbitContext,
     branch_exponents,
     h1,
+    h1_fabc_params,
     phi_entry,
     specialize_infty,
     _strip_01,
@@ -239,7 +244,7 @@ def _chain_poly(datum: MonodromyDatum, p: int, c: int, budget: int) -> FpUniPoly
 
 def _radical_01(f: FpUniPoly) -> FpUniPoly:
     """Monic product of the distinct irreducible factors of f away from
-    t and t-1."""
+    t and t-1, for any f: strip, then a squarefree decomposition."""
     if f.is_zero:
         raise HypothesisNotMet("chain polynomial vanishes identically")
     stripped = _strip_01(f)
@@ -249,6 +254,36 @@ def _radical_01(f: FpUniPoly) -> FpUniPoly:
     for part in _squarefree_parts(stripped.monic()):
         out = out * part
     return out
+
+
+def _chain_radical(datum: MonodromyDatum, p: int, c: int, budget: int) -> FpUniPoly:
+    """_radical_01 of the chain polynomial anchored at character c.
+
+    When h1 is one phi entry +-f(a,b,c) in the closed-form window (every
+    balanced pair's chain when p = +-1 mod m), the radical is
+    f(a',b',c') made monic, with (a',b',c') = strip(a,b,c).reduced, and
+    neither h1 nor gcd(f, f') is computed.  Proof:
+      * strip's identity f(a,b,c) = +-t^s (t-1)^u f(a',b',c'), with
+        f(a',b',c') nonzero at 0 and 1, removes the roots at 0 and 1
+        exactly.
+      * g = f(a',b',c') satisfies the hypergeometric equation
+        t(1-t) g'' + (b'-c'+1 + (a'+c'-1) t) g' - a'c' g = 0, because
+        the coefficients u_i of g obey
+        (i+1)(b'-c'+i+1) u_{i+1} = (i-a')(i-c') u_i over Z, hence over
+        F_p.  Its only finite singular points are 0 and 1.
+      * Let z, in an extension of F_p, be a double root outside {0, 1}:
+        g(z) = g'(z) = 0.  The equation differentiated k times has
+        leading term t(1-t) g^(k+2), and t(1-t) is a unit at z, so by
+        induction every derivative of g vanishes at z.  As
+        deg g <= a' < p, every k! up to deg g is a unit, so Taylor
+        expansion at z forces g = 0.  But g has a unit coefficient.
+    So g is squarefree and is its own radical away from 0 and 1.  Every
+    other chain shape takes the generic route through h1."""
+    ctx = OrbitContext(datum, p, (datum.m - c) % datum.m)
+    params = h1_fabc_params(ctx, budget)
+    if params is None:
+        return _radical_01(h1(ctx, budget))
+    return fabc(strip(params).reduced).monic()
 
 
 def _vanishes_at(f: FpUniPoly, alpha) -> bool:
@@ -337,10 +372,11 @@ def census(
     """Which strata meet the family at prime p, with exact certificates.
 
     For p = +-1 mod m each balanced pair's chain polynomial phi_c is
-    stripped of its roots at 0 and 1 and reduced to its radical; the
-    strata then read off gcds: a pattern is realized exactly when the
-    matching cofactor has positive degree.  Other congruence classes get
-    the two-row generic / non-generic report."""
+    stripped of its roots at 0 and 1 and reduced to its radical, read off
+    the f(a,b,c) closed form (_chain_radical); the strata then read off
+    gcds: a pattern is realized exactly when the matching cofactor has
+    positive degree.  Other congruence classes get the two-row generic /
+    non-generic report."""
     if datum.r != 4 or datum.m not in (5, 7):
         raise UnsupportedFamily(
             f"census needs r=4 and m in {{5, 7}}: got m={datum.m}, r={datum.r}"
@@ -366,7 +402,7 @@ def census(
         polygon=_stratum_polygon(datum, p, frozenset()),
     )
     if cls in (1, m - 1):
-        rads = {c: _radical_01(_chain_poly(datum, p, c, budget)) for c in reps}
+        rads = {c: _chain_radical(datum, p, c, budget) for c in reps}
         if m == 7 and reps == [2, 3]:
             g = rads[2].gcd(rads[3])
             w2_cof = (rads[3] // g).monic()
@@ -396,7 +432,7 @@ def census(
             )
     else:
         anchor = min(c for c in range(1, m) if sig[c] == 1)
-        rad = _radical_01(_chain_poly(datum, p, anchor, budget))
+        rad = _chain_radical(datum, p, anchor, budget)
         nonempty = rad.degree is not None and rad.degree >= 1
         strata = [
             mu_row,

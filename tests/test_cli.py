@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclocover.cli import RunConfig, build_config, main, read_config_file
+from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_config_file
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
@@ -526,3 +526,99 @@ def test_stdout_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# recorded before census took the radicals of the p = +-1 mod m classes
+# from the f(a,b,c) closed forms instead of from h1 and gcd(f, f')
+
+CLOSED_FORM_SHA256 = [
+    ("census 7:4:3,1,1,2 -p 41 -o json", "5ecf199e37b1374789865a4c48db70e9aa6138133c23ecc34ea1b254636c7329"),
+    ("census 7:4:3,1,1,2 -p 223 -o json", "31005907ed0986849cf8be503b7143c326c7d792fc59d7fb085631106920c25f"),
+    ("census 7:4:3,1,1,2 -p 1049 -o json", "452bdeb39e04b8a3b2f91f483531160bc367da08c2396edfd5536d9e6a4861a9"),
+    ("census 7:4:3,1,1,2 -p 2029 -o json", "f85dc6e489bfddff4eaa9d8a09235a568ba09511ce0aa88c5d558cd932f88438"),
+    ("census 7:4:3,1,1,2 -p 3079 -o json", "8da8ebdef3e28a723dd8eb712414c242da613df2cfef489a639f2e1b25770cd0"),
+    ("census 7:4:3,1,1,2 -p 4969 -o json", "f1261c92e20c964104326894cd263e8178572c0ae12fab13720b8658b0335ddd"),
+    ("census 5:4:1,1,1,2 -p 151 -o json", "1cc9930339d94793634a598c5a3eb423a7ca7f1609cf12d51a6f5116f53674a9"),
+    ("census 5:4:1,1,1,2 -p 149 -o json", "ad9aa58a51540b3c2bcb812ef57769d60d74ac5bb4e84d81cce10ba2e70d22ab"),
+    ("census 5:4:1,3,3,3 -p 1051 -o json", "0741ba2f09784d733bbcd43476f9ddcfd4b780015244cc55021abd63433615a7"),
+    ("census 5:4:1,3,3,3 -p 1049 -o json", "4f51f08117070ea7c18e1ccfa28848a3d32258aa5f779ab8f5c124fe245a1ab2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CLOSED_FORM_SHA256)
+def test_balanced_census_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,line", [
+    ("census 7:4:3,1,1,2 -p 97 --term-budget 10 -o json",
+     "error[degree-budget-exceeded]: composite degree ~13 exceeds the budget 10"),
+    ("census 7:4:3,1,1,2 -p 97 --term-budget 14",
+     "error[degree-budget-exceeded]: composite degree ~41 exceeds the budget 14"),
+    ("census 5:4:1,1,1,2 -p 151 --term-budget 20",
+     "error[degree-budget-exceeded]: composite degree ~60 exceeds the budget 20"),
+    ("survey 7:4:3,1,1,2 --class 1 --count 3 --term-budget 10",
+     "error[degree-budget-exceeded]: composite degree ~12 exceeds the budget 10"),
+])
+def test_census_term_budget_below_entry_degree(capsys, argv, line):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (3, "", line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# damaged cache records and malformed datum JSON
+
+
+def _cache_line(key, record):
+    return json.dumps({"key": key, "record": record}) + "\n"
+
+
+GOOD_STRATUM = {"certificate": None, "dim": 2, "label": "MuOrdinary", "nonempty": True}
+MALFORMED_RECORDS = [
+    {},
+    {"p": 13, "class": 6},
+    {"p": 13, "class": 6, "strata": []},
+    {"p": "13", "class": 6, "strata": [GOOD_STRATUM]},
+    {"p": 13, "class": 6, "strata": [dict(GOOD_STRATUM, nonempty="yes")]},
+    {"p": 13, "class": 6, "strata": [{"label": "Basic"}]},
+    {"p": 13, "class": 6, "strata": "none", "extra": 1},
+    [],
+    None,
+]
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS)
+@pytest.mark.parametrize("argv", [
+    ("census", M7, "-p", "13", "-o", "json"),
+    ("census", M7, "-p", "13"),
+    ("survey", M7, "--class", "6", "--count", "3"),
+])
+def test_malformed_cache_record_is_a_miss(tmp_path, capsys, argv, record):
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = RecordCache.key(parse_datum(M7), 13)
+    path = cache_dir / "census-cache.jsonl"
+    path.write_text(_cache_line(key, record) + _cache_line([key], {}))
+    assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
+    # the recomputed record was appended and now replays
+    assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
+
+
+@pytest.mark.parametrize("text", [
+    "{bad",
+    '{"m":7}',
+    '{"m":7,"r":4,"a":"3112"}',
+    '{"m":7,"r":4,"a":[3,1,1,true]}',
+    '{"m":7.0,"r":4,"a":[3,1,1,2]}',
+    '{"m":7,"r":4,"a":[3,1,1,2],"extra":0}',
+    '{"a":' + "[" * 100000 + "}",
+], ids=["unparsable", "missing-keys", "string-labels", "bool-label", "float-m",
+        "extra-key", "deep-nesting"])
+def test_malformed_datum_json_is_invalid_input(capsys, text):
+    code, out, err = run(capsys, "datum", "genus", text)
+    assert (code, out) == (4, "")
+    assert err.startswith("error[invalid-input]: ") and err.count("\n") == 1

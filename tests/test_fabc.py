@@ -65,8 +65,9 @@ def test_profile_known():
 @given(params=admissible())
 @settings(max_examples=400, deadline=None)
 def test_profile_matches_polynomial(params):
-    # fabc_profile asserts agreement with the constructed polynomial
     deg, vt, vt1 = fabc_profile(params)
+    f = fabc(params)
+    assert (f.degree, f.valuation_at(0), f.valuation_at(1)) == (deg, vt, vt1)
     assert deg == min(params.a, params.c)
     assert vt == max(0, params.c - params.b)
     if params.c <= params.b:
@@ -107,6 +108,7 @@ def test_strip_round_trip(params):
     assert rebuilt == fabc(params)
     assert fabc(res.reduced).valuation_at(0) == 0
     assert fabc(res.reduced).valuation_at(1) == 0
+    assert fabc_profile(res.reduced)[1:] == (0, 0)
 
 
 def test_coprime_shift():

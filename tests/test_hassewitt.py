@@ -9,6 +9,7 @@ from cyclocover.errors import (
     DegreeBudgetExceeded,
     HypothesisNotMet,
     IndexOutOfRange,
+    InternalError,
     InvalidInput,
     ParamOutOfRange,
     PDividesM,
@@ -35,6 +36,7 @@ from cyclocover.hassewitt import (
     specialize_infty,
     specialized_chain,
     witness_count,
+    _mat_mul_uni,
     _qhat,
 )
 from cyclocover.monodromy import MonodromyDatum, signature
@@ -653,3 +655,10 @@ def test_witness_count_floor():
         assert ctx.i0 == 1
         assert witness_count(ctx) >= p // m - 1, (d.a, p, ctx.base)
         done += 1
+
+
+def test_layer_shape_mismatch_is_an_internal_error():
+    one = FpUniPoly.one(PrimeField(13))
+    with pytest.raises(InternalError):
+        _mat_mul_uni([[one, one]], [[one]])
+    assert _mat_mul_uni([[one, one]], [[one], [one]]) == [[one + one]]

@@ -1,0 +1,18 @@
+import ast
+from pathlib import Path
+
+import cyclocover
+
+SRC = Path(cyclocover.__file__).resolve().parent
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements; library invariants raise
+    # errors.InternalError instead, so they hold under -O too
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +16,8 @@ from cyclocover.errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from cyclocover.ff import ExtField, FpUniPoly, PrimeField
-from cyclocover.hassewitt import OrbitContext, h1, witness_count
+from cyclocover.ff import DEFAULT_TERM_BUDGET, ExtField, FpUniPoly, PrimeField
+from cyclocover.hassewitt import OrbitContext, h1, h1_fabc_params, witness_count
 from cyclocover.monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, genus, signature
 from cyclocover.strata import (
     Classification,
@@ -32,6 +35,8 @@ from cyclocover.strata import (
     prime_survey,
     supersingular_minus_one,
     survey_primes,
+    _chain_radical,
+    _radical_01,
 )
 
 from oracles import mu_ordinary_slopes_oracle, phi_entry_oracle
@@ -527,3 +532,44 @@ def test_supersingular_rejections():
         supersingular_minus_one(M7_FAMILY, 29)
     with pytest.raises(HypothesisNotMet):
         supersingular_minus_one(MonodromyDatum(7, 5, (1, 1, 1, 2, 2)), 13)
+
+
+# ---------------------------------------------------------------------------
+# closed-form radicals against the generic path
+
+
+def _balanced_chains(m, p):
+    """(datum, c) for every M5/M7 four-point datum (labels sorted) and every
+    balanced character c whose pair has signature 1 on both sides."""
+    out = []
+    for a in itertools.combinations_with_replacement(range(1, m), 4):
+        if sum(a) % m or math.gcd(m, *a) != 1:
+            continue
+        d = MonodromyDatum(m, 4, a)
+        sig = signature(d)
+        out.extend((d, c) for c in range(1, m) if sig[c] == 1 and sig[m - c] == 1)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closed_form_radical_matches_generic_path(seed):
+    rng = random.Random(seed)
+    for m in (5, 7):
+        for cls in (1, m - 1):
+            primes = [p for p in survey_primes(m, cls, 60) if 3 * m < p < 900]
+            for p in rng.sample(primes, 4):
+                chains = _balanced_chains(m, p)
+                for d, c in rng.sample(chains, min(8, len(chains))):
+                    ctx = OrbitContext(d, p, m - c)
+                    assert h1_fabc_params(ctx) is not None, (d, p, c)
+                    assert _chain_radical(d, p, c, DEFAULT_TERM_BUDGET) == _radical_01(h1(ctx)), (d, p, c)
+
+
+@pytest.mark.parametrize("p,c", [(31, 2), (53, 2), (37, 3)])
+def test_long_orbit_chain_takes_the_generic_path(p, c):
+    ctx = OrbitContext(M7_FAMILY, p, 7 - c)
+    assert ctx.i0 > 1
+    assert h1_fabc_params(ctx) is None
+    rad = _chain_radical(M7_FAMILY, p, c, DEFAULT_TERM_BUDGET)
+    assert rad == _radical_01(h1(ctx))
+    assert rad.degree >= 1
