@@ -13,7 +13,6 @@ from cyclocover.strata import (
     mu_ordinary_family,
     mu_ordinary_orbit,
     ord_polygon,
-    polygon_sum,
 )
 from cyclocover.monodromy import frobenius_orbits, signature
 
@@ -43,10 +42,7 @@ d_a = MonodromyDatum(7, 4, (3, 1, 1, 2))
 d_b = MonodromyDatum(7, 4, (5, 3, 3, 3))
 joined, eps = clutch(d_a, d_b)
 direct = mu_ordinary_family(joined, 13)
-composed = polygon_sum(
-    polygon_sum(mu_ordinary_family(d_a, 13), mu_ordinary_family(d_b, 13)),
-    ord_polygon(eps),
-)
+composed = mu_ordinary_family(d_a, 13) + mu_ordinary_family(d_b, 13) + ord_polygon(eps)
 print(f"\nclutch at p=13: direct {direct.to_text()}")
 print(f"    composed      {composed.to_text()}  agree: {direct == composed}")
 

@@ -55,8 +55,8 @@ hits = sv.nonempty_count("Basic")
 print(f"\nsurvey of first 12 primes = 1 mod 7: basic stratum nonempty at "
       f"{hits}/12 ({time.time() - t0:.1f}s)")
 for rec in sv.records[:4]:
-    marks = " ".join(f"{s.label.kind}{'+' if s.nonempty else '-'}" for s in rec.strata)
-    print(f"  p={rec.p}: {marks}")
+    marks = " ".join(f"{s['label']}{'+' if s['nonempty'] else '-'}" for s in rec["strata"])
+    print(f"  p={rec['p']}: {marks}")
 
 # for p = -1 mod 7 the curve at coordinate -1 always drops to slope 1/2
 print("\ncoordinate -1 is supersingular at p = 13, 41, 83:",

@@ -14,8 +14,9 @@ byte-identical JSON.
 
 Census records can be cached in a JSON-lines file under cache_dir.  The
 key is a content hash of (command, datum, p, version), so a hit replays
-exactly the record a fresh run would produce; census and survey share
-the cache, and surveys append only the primes they had to compute.
+exactly the record a fresh run would produce.  census and survey both
+get their records from strata.census_records, so they share the cache,
+and a survey appends only the primes it had to compute.
 
 Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 4 invalid input.  Errors print one line to stderr in the form
@@ -24,11 +25,9 @@ Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,16 +53,21 @@ from .hassewitt import (
     witness_count,
 )
 from .monodromy import (
-    MonodromyDatum,
     canonicalize,
     clutch,
     frobenius_orbits,
     genus,
     parse_datum,
     signature,
-    _is_int,
 )
-from .strata import census, mu_ordinary_family, ord_polygon, polygon_sum, survey_primes
+from .strata import (
+    RecordCache,
+    census_csv,
+    census_records,
+    mu_ordinary_family,
+    ord_polygon,
+    prime_survey,
+)
 
 _OUTPUTS = ("human", "json", "csv")
 _CONFIG_KEYS = ("seed", "dmax", "term_budget", "workers", "output", "cache_dir")
@@ -174,24 +178,6 @@ def _multi_text(f: FpMultiPoly) -> str:
     return " + ".join(parts)
 
 
-def _csv_escape(value: str) -> str:
-    if any(ch in value for ch in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def _census_csv_rows(records: list) -> list:
-    rows = ["p,class,label,dim,nonempty,certificate"]
-    for rec in records:
-        for s in rec["strata"]:
-            cert = s["certificate"] if s["certificate"] is not None else ""
-            rows.append(
-                f"{rec['p']},{rec['class']},{s['label']},{s['dim']},"
-                f"{str(s['nonempty']).lower()},{_csv_escape(cert)}"
-            )
-    return rows
-
-
 def _census_human_rows(rec: dict) -> list:
     rows = [f"p={rec['p']} class={rec['class']}"]
     for s in rec["strata"]:
@@ -201,99 +187,6 @@ def _census_human_rows(rec: dict) -> list:
             line += f"  cert {s['certificate']}"
         rows.append(line)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# census record cache
-
-_STRATUM_KEYS = ["certificate", "dim", "label", "nonempty"]
-
-
-def _is_census_record(rec) -> bool:
-    """Whether rec has the shape CensusReport.to_json_record writes."""
-    if not (isinstance(rec, dict) and sorted(rec) == ["class", "p", "strata"]):
-        return False
-    strata = rec["strata"]
-    if not (_is_int(rec["p"]) and _is_int(rec["class"])
-            and isinstance(strata, list) and strata):
-        return False
-    return all(
-        isinstance(s, dict) and sorted(s) == _STRATUM_KEYS
-        and isinstance(s["label"], str)
-        and (s["dim"] is None or _is_int(s["dim"]))
-        and isinstance(s["nonempty"], bool)
-        and (s["certificate"] is None or isinstance(s["certificate"], str))
-        for s in strata
-    )
-
-
-class RecordCache:
-    """Append-only JSON-lines store of census records.
-
-    Inert when no cache_dir is configured.  Unreadable lines and records
-    of the wrong shape are treated as misses, so a damaged file degrades
-    to recomputation, never to a wrong answer or a crash."""
-
-    def __init__(self, cache_dir: Optional[str]):
-        self.path = os.path.join(cache_dir, "census-cache.jsonl") if cache_dir else None
-        self._records: dict = {}
-        if self.path and os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        obj = json.loads(raw)
-                    except ValueError:
-                        continue
-                    if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
-                            and _is_census_record(obj.get("record"))):
-                        self._records[obj["key"]] = obj["record"]
-
-    @staticmethod
-    def key(datum: MonodromyDatum, p: int) -> str:
-        payload = json.dumps(
-            {"command": "census", "datum": [datum.m, datum.r, list(datum.a)],
-             "p": p, "version": __version__},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def get(self, key: str) -> Optional[dict]:
-        return self._records.get(key)
-
-    def put(self, key: str, record: dict) -> None:
-        if key in self._records:
-            return
-        self._records[key] = record
-        if self.path is None:
-            return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        line = json.dumps({"key": key, "record": record},
-                          sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-
-def _census_record(datum: MonodromyDatum, p: int, cfg: RunConfig,
-                   cache: RecordCache) -> dict:
-    key = RecordCache.key(datum, p)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    # the library refuses p <= 3m by default because the nonemptiness
-    # certificates are only guaranteed above that bound; interactive use
-    # wants the small primes anyway, so the command line opts in
-    record = census(datum, p, allow_small=True, budget=cfg.term_budget).to_json_record()
-    cache.put(key, record)
-    return record
-
-
-def _survey_worker(task):
-    datum, p, budget = task
-    return p, census(datum, p, allow_small=True, budget=budget).to_json_record()
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +325,15 @@ def _cmd_witness(args, cfg: RunConfig) -> None:
 
 def _cmd_census(args, cfg: RunConfig) -> None:
     d = parse_datum(args.datum)
-    cache = RecordCache(cfg.cache_dir)
-    record = _census_record(d, args.p, cfg, cache)
+    # the library refuses p <= 3m by default because the nonemptiness
+    # certificates are only guaranteed above that bound; interactive use
+    # wants the small primes anyway, so the command line opts in
+    (record,) = census_records(d, [args.p], allow_small=True, budget=cfg.term_budget,
+                               cache=RecordCache(cfg.cache_dir))
     if cfg.output == "json":
         _emit_json(record)
     elif cfg.output == "csv":
-        for row in _census_csv_rows([record]):
-            _emit(row)
+        sys.stdout.write(census_csv([record]))
     else:
         _emit(f"datum {d.to_text()}")
         for row in _census_human_rows(record):
@@ -447,48 +342,23 @@ def _cmd_census(args, cfg: RunConfig) -> None:
 
 def _cmd_survey(args, cfg: RunConfig) -> None:
     d = parse_datum(args.datum)
-    primes = survey_primes(d.m, args.congruence, args.count)
-    cache = RecordCache(cfg.cache_dir)
-    by_p: dict = {}
-    missing = []
-    for p in primes:
-        hit = cache.get(RecordCache.key(d, p))
-        if hit is not None:
-            by_p[p] = hit
-        else:
-            missing.append(p)
-    if missing:
-        tasks = [(d, p, cfg.term_budget) for p in missing]
-        if cfg.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                computed = list(pool.map(_survey_worker, tasks))
-        else:
-            computed = [_survey_worker(t) for t in tasks]
-        for p, record in computed:
-            cache.put(RecordCache.key(d, p), record)
-            by_p[p] = record
-    records = [by_p[p] for p in primes]
+    sv = prime_survey(d, args.congruence, args.count, workers=cfg.workers,
+                      allow_small=True, budget=cfg.term_budget,
+                      cache=RecordCache(cfg.cache_dir))
     if cfg.output == "json":
-        for record in records:
-            _emit_json(record)
+        sys.stdout.write(sv.to_json_lines())
         return
     if cfg.output == "csv":
-        for row in _census_csv_rows(records):
-            _emit(row)
+        sys.stdout.write(sv.to_csv())
         return
-    counts: dict = {}
-    for rec in records:
-        for s in rec["strata"]:
-            if s["nonempty"]:
-                counts[s["label"]] = counts.get(s["label"], 0) + 1
-    for rec in records:
+    for rec in sv.records:
         labels = " ".join(
             f"{s['label']}={'+' if s['nonempty'] else '-'}" for s in rec["strata"]
         )
         _emit(f"p={rec['p']:<6} {labels}")
-    if records:
-        bottom = records[0]["strata"][-1]["label"]
-        _emit(f"{counts.get(bottom, 0)}/{len(records)} {bottom.lower()}-nonempty")
+    if sv.records:
+        bottom = sv.records[0]["strata"][-1]["label"]
+        _emit(f"{sv.nonempty_count(bottom)}/{len(sv.records)} {bottom.lower()}-nonempty")
 
 
 def _cmd_clutch(args, cfg: RunConfig) -> None:
@@ -499,10 +369,8 @@ def _cmd_clutch(args, cfg: RunConfig) -> None:
     lines = [f"clutched datum {joined.to_text()}  eps={eps}"]
     if args.p is not None:
         whole = mu_ordinary_family(joined, args.p)
-        composed = polygon_sum(
-            polygon_sum(mu_ordinary_family(d1, args.p), mu_ordinary_family(d2, args.p)),
-            ord_polygon(eps),
-        )
+        composed = (mu_ordinary_family(d1, args.p) + mu_ordinary_family(d2, args.p)
+                    + ord_polygon(eps))
         payload["polygon"] = whole.to_json()
         payload["composed"] = composed.to_json()
         payload["agrees"] = composed == whole

@@ -125,6 +125,36 @@ def _qhat(field: PrimeField, r: int, jp: int, k: int) -> FpMultiPoly:
     return FpMultiPoly(field, r, terms)
 
 
+def _check_phi_index(m: int, p: int, sig, tau: int, jp: int, j: int) -> None:
+    """Entry (jp, j) of phi at character tau exists: tau in 1..m-1,
+    j in 1..sig[tau], jp in 1..sig[p*tau]."""
+    if not 1 <= tau <= m - 1:
+        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
+    if not 1 <= j <= sig[tau]:
+        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
+    rows = sig[(p * tau) % m]
+    if not 1 <= jp <= rows:
+        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+
+
+def _check_psi_index(m: int, p: int, sig, tau: int, jp: int, j: int) -> None:
+    """psi is defined at character tau (gcd(tau, m) = 1 and the signature
+    vanishes at p*tau or m-tau) and has an entry (jp, j): j in
+    1..sig[tau], jp in 1..sig[-p*tau]."""
+    if not 1 <= tau <= m - 1:
+        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
+    if math.gcd(tau, m) != 1 or not (sig[(p * tau) % m] == 0 or sig[(m - tau) % m] == 0):
+        raise PsiHypothesisNotMet(
+            f"psi at character {tau} needs gcd(tau, m) = 1 and a vanishing "
+            f"signature at {(p * tau) % m} or {(m - tau) % m}"
+        )
+    if not 1 <= j <= sig[tau]:
+        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
+    rows = sig[(m - (p * tau) % m) % m]
+    if not 1 <= jp <= rows:
+        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+
+
 def phi_entry(
     datum: MonodromyDatum,
     p: int,
@@ -139,13 +169,7 @@ def phi_entry(
     _require_coprime(datum, p)
     m = datum.m
     sig = signature(datum)
-    if not 1 <= tau <= m - 1:
-        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
-    if not 1 <= j <= sig[tau]:
-        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
-    rows = sig[(p * tau) % m]
-    if not 1 <= jp <= rows:
-        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+    _check_phi_index(m, p, sig, tau, jp, j)
     bs = branch_exponents(datum, p, tau)
     n = sum(bs) - (p * j - jp)
     block = _graded_slice(field, bs, n, budget)
@@ -169,18 +193,7 @@ def psi_entry(
     _require_coprime(datum, p)
     m, r = datum.m, datum.r
     sig = signature(datum)
-    if not 1 <= tau <= m - 1:
-        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
-    if math.gcd(tau, m) != 1 or not (sig[(p * tau) % m] == 0 or sig[(m - tau) % m] == 0):
-        raise PsiHypothesisNotMet(
-            f"psi at character {tau} needs gcd(tau, m) = 1 and a vanishing "
-            f"signature at {(p * tau) % m} or {(m - tau) % m}"
-        )
-    if not 1 <= j <= sig[tau]:
-        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
-    rows = sig[(m - (p * tau) % m) % m]
-    if not 1 <= jp <= rows:
-        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+    _check_psi_index(m, p, sig, tau, jp, j)
     bs = branch_exponents(datum, p, tau)
     n = sum(bs) - p * j
     sign = 1 if n % 2 == 0 else field.p - 1
@@ -405,13 +418,7 @@ def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
     datum = ctx.ordered_datum
     sig = ctx.sig
     m, p = datum.m, ctx.p
-    if not 1 <= tau <= m - 1:
-        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
-    if not 1 <= j <= sig[tau]:
-        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
-    rows = sig[(p * tau) % m]
-    if not 1 <= jp <= rows:
-        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+    _check_phi_index(m, p, sig, tau, jp, j)
     bs = branch_exponents(datum, p, tau)
     n = sum(bs) - (p * j - jp)
     closed = _phi_closed_form(ctx.field, bs, n)
@@ -431,18 +438,7 @@ def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
     datum = ctx.ordered_datum
     sig = ctx.sig
     m, p = datum.m, ctx.p
-    if not 1 <= tau <= m - 1:
-        raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
-    if math.gcd(tau, m) != 1 or not (sig[(p * tau) % m] == 0 or sig[(m - tau) % m] == 0):
-        raise PsiHypothesisNotMet(
-            f"psi at character {tau} needs gcd(tau, m) = 1 and a vanishing "
-            f"signature at {(p * tau) % m} or {(m - tau) % m}"
-        )
-    if not 1 <= j <= sig[tau]:
-        raise IndexOutOfRange(f"column {j} outside 1..{sig[tau]} at character {tau}")
-    rows = sig[(m - (p * tau) % m) % m]
-    if not 1 <= jp <= rows:
-        raise IndexOutOfRange(f"row {jp} outside 1..{rows} at character {tau}")
+    _check_psi_index(m, p, sig, tau, jp, j)
     bs = branch_exponents(datum, p, tau)
     n0 = sum(bs) - p * j
     sign = 1 if n0 % 2 == 0 else ctx.field.p - 1

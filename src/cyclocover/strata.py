@@ -23,14 +23,18 @@ single phi entry, otherwise by stripping and a squarefree decomposition.
 """
 
 import csv
+import functools
+import hashlib
 import io
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
+from . import __version__
 from .errors import (
     HypothesisNotMet,
     InvalidInput,
@@ -39,7 +43,7 @@ from .errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from .fabc import FabcParams, fabc, strip
+from .fabc import fabc, strip
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtFieldElem,
@@ -56,9 +60,10 @@ from .hassewitt import (
     h1_fabc_params,
     phi_entry,
     specialize_infty,
+    _phi_fabc_params,
     _strip_01,
 )
-from .monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, signature
+from .monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, signature, _is_int
 
 LABEL_MU_ORDINARY = "MuOrdinary"
 LABEL_W2 = "W2"
@@ -119,6 +124,7 @@ class NewtonPolygon:
         return all(s == Fraction(1, 2) for s, _ in self.parts)
 
     def __add__(self, other: "NewtonPolygon") -> "NewtonPolygon":
+        """Multiset union of the slope parts."""
         return NewtonPolygon.from_slopes(self.parts + other.parts)
 
     def to_text(self) -> str:
@@ -128,11 +134,6 @@ class NewtonPolygon:
 
     def to_json(self) -> list:
         return [[str(s), m] for s, m in self.parts]
-
-
-def polygon_sum(a: NewtonPolygon, b: NewtonPolygon) -> NewtonPolygon:
-    """Multiset union of the slope parts."""
-    return a + b
 
 
 def ord_polygon(eps: int) -> NewtonPolygon:
@@ -447,43 +448,170 @@ def census(
     return CensusReport(datum=datum, p=p, p_class=cls, dim_sh=dim_sh, strata=tuple(strata))
 
 
-def _survey_task(args) -> CensusReport:
-    datum, p, allow_small, budget = args
-    return census(datum, p, allow_small=allow_small, budget=budget)
+# ---------------------------------------------------------------------------
+# census records: the one path from primes to records, cache and CSV
+
+_STRATUM_KEYS = ["certificate", "dim", "label", "nonempty"]
+
+
+def _is_census_record(rec) -> bool:
+    """Whether rec has the shape CensusReport.to_json_record writes."""
+    if not (isinstance(rec, dict) and sorted(rec) == ["class", "p", "strata"]):
+        return False
+    strata = rec["strata"]
+    if not (_is_int(rec["p"]) and _is_int(rec["class"])
+            and isinstance(strata, list) and strata):
+        return False
+    return all(
+        isinstance(s, dict) and sorted(s) == _STRATUM_KEYS
+        and isinstance(s["label"], str)
+        and (s["dim"] is None or _is_int(s["dim"]))
+        and isinstance(s["nonempty"], bool)
+        and (s["certificate"] is None or isinstance(s["certificate"], str))
+        for s in strata
+    )
+
+
+class RecordCache:
+    """Append-only JSON-lines store of census records.
+
+    Inert when no cache_dir is configured.  Unreadable lines and records
+    of the wrong shape are treated as misses, so a damaged file degrades
+    to recomputation, never to a wrong answer or a crash."""
+
+    def __init__(self, cache_dir: Optional[str]):
+        self.path = os.path.join(cache_dir, "census-cache.jsonl") if cache_dir else None
+        self._records: dict = {}
+        if self.path and os.path.exists(self.path):
+            with open(self.path, encoding="utf-8") as fh:
+                for raw in fh:
+                    raw = raw.strip()
+                    if not raw:
+                        continue
+                    try:
+                        obj = json.loads(raw)
+                    except ValueError:
+                        continue
+                    if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
+                            and _is_census_record(obj.get("record"))):
+                        self._records[obj["key"]] = obj["record"]
+
+    @staticmethod
+    def key(datum: MonodromyDatum, p: int) -> str:
+        payload = json.dumps(
+            {"command": "census", "datum": [datum.m, datum.r, list(datum.a)],
+             "p": p, "version": __version__},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def get(self, key: str) -> Optional[dict]:
+        return self._records.get(key)
+
+    def put(self, key: str, record: dict) -> None:
+        if key in self._records:
+            return
+        self._records[key] = record
+        if self.path is None:
+            return
+        os.makedirs(os.path.dirname(self.path), exist_ok=True)
+        line = json.dumps({"key": key, "record": record},
+                          sort_keys=True, separators=(",", ":"))
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+
+def _census_task(datum: MonodromyDatum, p: int, allow_small: bool, budget: int) -> dict:
+    return census(datum, p, allow_small=allow_small, budget=budget).to_json_record()
+
+
+def census_records(
+    datum: MonodromyDatum,
+    primes,
+    workers: int = 1,
+    allow_small: bool = False,
+    budget: int = DEFAULT_TERM_BUDGET,
+    cache: Optional[RecordCache] = None,
+) -> list:
+    """CensusReport.to_json_record() of each prime, in the order given.
+
+    Records found in the cache are replayed as stored, without a new
+    census, so allow_small and budget bear on the misses only.  The
+    misses are computed serially, or in a process pool of
+    min(workers, misses, CPUs) workers, and appended to the cache in the
+    order of `primes`, so the cache file does not depend on the worker
+    count."""
+    if workers < 1:
+        raise ParamOutOfRange(f"workers must be >= 1: got {workers}")
+    if cache is None:
+        cache = RecordCache(None)
+    keys = [RecordCache.key(datum, p) for p in primes]
+    records = [cache.get(key) for key in keys]
+    misses = [i for i, rec in enumerate(records) if rec is None]
+    missed_primes = [primes[i] for i in misses]
+    task = functools.partial(_census_task, datum, allow_small=allow_small, budget=budget)
+    workers = min(workers, len(misses), os.cpu_count() or 1)
+    if workers <= 1:
+        computed = [task(p) for p in missed_primes]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            computed = list(pool.map(task, missed_primes))
+    for i, rec in zip(misses, computed):
+        cache.put(keys[i], rec)
+        records[i] = rec
+    return records
+
+
+def census_csv(records) -> str:
+    """Census records as CSV, one row per stratum: lowercase booleans,
+    empty cells for None, quoting only where a cell needs it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "class", "label", "dim", "nonempty", "certificate"])
+    for rec in records:
+        for s in rec["strata"]:
+            writer.writerow([
+                rec["p"],
+                rec["class"],
+                s["label"],
+                "" if s["dim"] is None else s["dim"],
+                "true" if s["nonempty"] else "false",
+                "" if s["certificate"] is None else s["certificate"],
+            ])
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
 class SurveyResult:
+    """Census records of the primes of one congruence class, in
+    increasing-p order."""
+
     datum: MonodromyDatum
     congruence: int
     records: tuple
-    counts: dict = field(compare=False)
+
+    @property
+    def counts(self) -> dict:
+        """Number of primes at which each stratum label is nonempty."""
+        out: dict = {}
+        for rec in self.records:
+            for s in rec["strata"]:
+                if s["nonempty"]:
+                    out[s["label"]] = out.get(s["label"], 0) + 1
+        return out
 
     def nonempty_count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 
     def to_json_lines(self) -> str:
-        if not self.records:
-            return ""
-        return "\n".join(r.to_json_line() for r in self.records) + "\n"
+        return "".join(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            for rec in self.records
+        )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "class", "label", "dim", "nonempty", "certificate"])
-        for rec in self.records:
-            for s in rec.strata:
-                writer.writerow(
-                    [
-                        rec.p,
-                        rec.p_class,
-                        s.label.kind,
-                        "" if s.dim is None else s.dim,
-                        s.nonempty,
-                        "" if s.certificate is None else s.certificate,
-                    ]
-                )
-        return buf.getvalue()
+        return census_csv(self.records)
 
 
 def survey_primes(m: int, congruence: int, count: int) -> list:
@@ -510,28 +638,13 @@ def prime_survey(
     workers: int = 1,
     allow_small: bool = False,
     budget: int = DEFAULT_TERM_BUDGET,
+    cache: Optional[RecordCache] = None,
 ) -> SurveyResult:
-    """Census of the first `count` primes in one congruence class.
-
-    Workers each run the pure census on their own primes; the records
-    are merged back in increasing-p order regardless of completion
-    order."""
-    if workers < 1:
-        raise ParamOutOfRange(f"workers must be >= 1: got {workers}")
+    """Census of the first `count` primes in one congruence class, through
+    census_records."""
     primes = survey_primes(datum.m, congruence, count)
-    tasks = [(datum, p, allow_small, budget) for p in primes]
-    if workers == 1 or len(tasks) <= 1:
-        records = [_survey_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_survey_task, tasks))
-    records.sort(key=lambda r: r.p)
-    counts: dict = {}
-    for rec in records:
-        for s in rec.strata:
-            if s.nonempty:
-                counts[s.label.kind] = counts.get(s.label.kind, 0) + 1
-    return SurveyResult(datum=datum, congruence=congruence, records=tuple(records), counts=counts)
+    records = census_records(datum, primes, workers, allow_small, budget, cache)
+    return SurveyResult(datum=datum, congruence=congruence, records=tuple(records))
 
 
 def supersingular_minus_one(
@@ -574,8 +687,9 @@ def supersingular_minus_one(
             continue
         bs = branch_exponents(datum, p, c, order=order)
         n = sum(bs) - p + 1
-        if p > 2 and 0 <= n - bs[0] <= bs[1] + bs[2]:
-            value = fabc(FabcParams(bs[1], bs[2], n - bs[0], p)).evaluate(p - 1)
+        params = _phi_fabc_params(p, bs, n)
+        if params is not None:
+            value = fabc(params).evaluate(p - 1)
         else:
             entry = phi_entry(ordered, p, c, 1, 1, budget)
             value = specialize_infty(entry).evaluate(p - 1)

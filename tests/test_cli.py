@@ -9,7 +9,7 @@ from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
 from cyclocover.monodromy import canonicalize, parse_datum
-from cyclocover.strata import census
+from cyclocover.strata import census, prime_survey
 
 M7 = "7:4:3,1,1,2"
 
@@ -358,6 +358,39 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "census", M7, "-p", "13", "-o", "json")
     assert code == 0
     assert (tmp_path / "envcache" / "census-cache.jsonl").exists()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("congruence", [1, 6])
+def test_survey_stdout_is_the_library_survey(tmp_path, capsys, congruence, workers, cached):
+    # the command line only prints prime_survey's records: its json and
+    # csv output is the library's to_json_lines and to_csv, byte for byte
+    cache_args = ("--cache-dir", str(tmp_path / "cli")) if cached else ()
+    lib_cache = RecordCache(str(tmp_path / "lib")) if cached else None
+    sv = prime_survey(parse_datum(M7), congruence, 4, workers=workers,
+                      allow_small=True, cache=lib_cache)
+    for fmt, text in (("json", sv.to_json_lines()), ("csv", sv.to_csv())):
+        code, out, _ = run(capsys, "survey", M7, "--class", str(congruence),
+                           "--count", "4", "-o", fmt, "--workers", str(workers),
+                           *cache_args)
+        assert code == 0
+        assert out == text
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cache_file_bytes_after_census_then_survey(tmp_path, capsys, workers):
+    # digest recorded before census and survey shared one record pipeline:
+    # the census at 41 is stored first, the survey appends 13 and then 83
+    cache_dir = str(tmp_path / "cache")
+    assert run(capsys, "census", M7, "-p", "41", "-o", "json",
+               "--cache-dir", cache_dir)[0] == 0
+    assert run(capsys, "survey", M7, "--class", "6", "--count", "3",
+               "--workers", workers, "--cache-dir", cache_dir)[0] == 0
+    stored = (tmp_path / "cache" / "census-cache.jsonl").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == (
+        "286b54d134aba75d652740c4acf64b7c9ad8480809588039c925fb5e778af4a9"
+    )
 
 
 # ---------------------------------------------------------------------------

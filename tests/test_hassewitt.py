@@ -164,6 +164,51 @@ def test_psi_entry_gate():
         psi_entry(d9, 5, 3, 1, 1)
 
 
+D9 = MonodromyDatum(9, 4, (1, 2, 2, 4))
+
+_BAD_INDEX_CASES = [
+    # (family, datum, p, base character, tau, jp, j, error, message)
+    ("phi", D7, 29, 5, 0, 1, 1, IndexOutOfRange, "character index 0 outside 1..6"),
+    ("phi", D7, 29, 5, 7, 1, 1, IndexOutOfRange, "character index 7 outside 1..6"),
+    ("phi", D7, 29, 5, 0, 9, 9, IndexOutOfRange, "character index 0 outside 1..6"),
+    ("phi", D7, 29, 5, 1, 1, 1, IndexOutOfRange, "column 1 outside 1..0 at character 1"),
+    ("phi", D7, 29, 5, 2, 1, 2, IndexOutOfRange, "column 2 outside 1..1 at character 2"),
+    ("phi", D7, 29, 5, 2, 5, 5, IndexOutOfRange, "column 5 outside 1..1 at character 2"),
+    ("phi", D7, 29, 5, 2, 2, 1, IndexOutOfRange, "row 2 outside 1..1 at character 2"),
+    ("phi", D7, 29, 5, 6, 3, 1, IndexOutOfRange, "row 3 outside 1..2 at character 6"),
+    ("psi", D7, 29, 5, 0, 1, 1, IndexOutOfRange, "character index 0 outside 1..6"),
+    ("psi", D7, 29, 5, 7, 1, 1, IndexOutOfRange, "character index 7 outside 1..6"),
+    ("psi", D7, 29, 5, 0, 9, 9, IndexOutOfRange, "character index 0 outside 1..6"),
+    ("psi", D7, 29, 5, 2, 1, 1, PsiHypothesisNotMet,
+     "psi at character 2 needs gcd(tau, m) = 1 and a vanishing signature at 2 or 5"),
+    ("psi", D7, 29, 5, 2, 9, 9, PsiHypothesisNotMet,
+     "psi at character 2 needs gcd(tau, m) = 1 and a vanishing signature at 2 or 5"),
+    ("psi", D9, 5, 2, 3, 1, 1, PsiHypothesisNotMet,
+     "psi at character 3 needs gcd(tau, m) = 1 and a vanishing signature at 6 or 6"),
+    ("psi", D7, 29, 5, 1, 1, 1, IndexOutOfRange, "column 1 outside 1..0 at character 1"),
+    ("psi", D7, 29, 5, 6, 1, 3, IndexOutOfRange, "column 3 outside 1..2 at character 6"),
+    ("psi", D7, 29, 5, 6, 1, 1, IndexOutOfRange, "row 1 outside 1..0 at character 6"),
+]
+
+
+@pytest.mark.parametrize("specialized", [False, True])
+@pytest.mark.parametrize("family,d,p,b0,tau,jp,j,error,message", _BAD_INDEX_CASES)
+def test_bad_index_error_class_and_message(family, d, p, b0, tau, jp, j, error, message,
+                                           specialized):
+    # the multivariate entry and its specialization share one validator
+    # per family, so they fail alike, in the same order of checks
+    if specialized:
+        build = phi_specialized if family == "phi" else psi_specialized
+        call = lambda: build(OrbitContext(d, p, b0), tau, jp, j)  # noqa: E731
+    else:
+        build = phi_entry if family == "phi" else psi_entry
+        call = lambda: build(d, p, tau, jp, j)  # noqa: E731
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_qhat_is_cofactor_coefficient():
     # sum_jp qhat(jp) X^{jp-1} must rebuild prod_{s != k} (X - x_s) at
     # any sample point

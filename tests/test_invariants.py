@@ -16,3 +16,17 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_process_pool_in_the_library():
+    # every worker pool goes through strata.census_records, where the
+    # worker count is bounded; a second pool would escape that bound
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor")
+        or (isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor")
+        or (isinstance(node, ast.alias) and node.name == "ProcessPoolExecutor")
+    }
+    assert users == {"strata.py"}

@@ -19,6 +19,7 @@ from cyclocover.errors import (
 from cyclocover.ff import DEFAULT_TERM_BUDGET, ExtField, FpUniPoly, PrimeField
 from cyclocover.hassewitt import OrbitContext, h1, h1_fabc_params, witness_count
 from cyclocover.monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, genus, signature
+from cyclocover import strata
 from cyclocover.strata import (
     Classification,
     M7_FAMILY,
@@ -31,7 +32,8 @@ from cyclocover.strata import (
     mu_ordinary_family,
     mu_ordinary_orbit,
     ord_polygon,
-    polygon_sum,
+    RecordCache,
+    census_records,
     prime_survey,
     supersingular_minus_one,
     survey_primes,
@@ -91,7 +93,7 @@ def test_ord_polygon_and_sum():
     with pytest.raises(ParamOutOfRange):
         ord_polygon(-1)
     # composing an ord part with a half-slope block
-    composed = polygon_sum(ord_polygon(2), pg((1, 2, 8)))
+    composed = ord_polygon(2) + pg((1, 2, 8))
     assert composed == pg((0, 1, 2), (1, 2, 8), (1, 1, 2))
 
 
@@ -112,10 +114,10 @@ def test_ord_polygon_and_sum():
 @settings(max_examples=60, deadline=None)
 def test_polygon_sum_multiset_laws(xs, ys, zs):
     a, b, c = (NewtonPolygon.from_slopes(v) for v in (xs, ys, zs))
-    assert polygon_sum(a, b) == polygon_sum(b, a)
-    assert polygon_sum(polygon_sum(a, b), c) == polygon_sum(a, polygon_sum(b, c))
-    assert polygon_sum(a, ord_polygon(0)) == a
-    assert polygon_sum(a, b).height == a.height + b.height
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + ord_polygon(0) == a
+    assert (a + b).height == a.height + b.height
 
 
 def test_polygon_metrics():
@@ -438,7 +440,7 @@ def test_survey_count_zero():
 
 def test_survey_small_class1():
     sv = prime_survey(M7_FAMILY, 1, 4)
-    assert [r.p for r in sv.records] == [29, 43, 71, 113]
+    assert [r["p"] for r in sv.records] == [29, 43, 71, 113]
     assert sv.counts == {"MuOrdinary": 4, "W2": 4, "W3": 4, "Basic": 1}
     assert sv.nonempty_count("Basic") == 1
     assert sv.nonempty_count("Nu") == 0
@@ -459,14 +461,14 @@ def test_survey_csv_export():
     rows = sv.to_csv().splitlines()
     assert rows[0] == "p,class,label,dim,nonempty,certificate"
     assert len(rows) == 1 + 2 * 4
-    assert rows[1].startswith("29,1,MuOrdinary,2,True,")
-    assert any(row.startswith("29,1,Basic,0,False,") for row in rows)
+    assert rows[1].startswith("29,1,MuOrdinary,2,true,")
+    assert any(row.startswith("29,1,Basic,0,false,") for row in rows)
 
 
 def test_survey_class6_small():
     sv = prime_survey(M7_FAMILY, 6, 2, allow_small=True)
-    assert [r.p for r in sv.records] == [13, 41]
-    basics = {r.p: {s.label.kind: s.nonempty for s in r.strata} for r in sv.records}
+    assert [r["p"] for r in sv.records] == [13, 41]
+    basics = {r["p"]: {s["label"]: s["nonempty"] for s in r["strata"]} for r in sv.records}
     assert basics[13]["Basic"] and basics[41]["Basic"]
     assert not basics[13]["W2"] and basics[41]["W2"]
 
@@ -478,6 +480,64 @@ def test_survey_rejections():
         prime_survey(M7_FAMILY, 0, 2)
     with pytest.raises(HypothesisNotMet):
         prime_survey(M7_FAMILY, 6, 1)  # first prime is 13, below the bound
+
+
+class _FakePool:
+    """ProcessPoolExecutor stand-in: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers,cpus,cached,size", [
+    (64, 8, 0, 3),     # clamped to the number of misses
+    (64, 2, 0, 2),     # clamped to the CPUs
+    (2, 8, 0, 2),      # as asked
+    (64, None, 0, None),  # unknown CPU count counts as one: serial
+    (64, 8, 2, None),  # one miss left: serial
+    (64, 8, 3, None),  # all hits: no pool
+])
+def test_census_records_bounds_the_pool(monkeypatch, tmp_path, workers, cpus, cached, size):
+    monkeypatch.setattr(strata, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(strata.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    primes = [29, 43, 71]
+    expected = [census(M7_FAMILY, p).to_json_record() for p in primes]
+    cache = RecordCache(str(tmp_path))
+    for p, rec in zip(primes[:cached], expected):
+        cache.put(RecordCache.key(M7_FAMILY, p), rec)
+    assert census_records(M7_FAMILY, primes, workers=workers, cache=cache) == expected
+    assert _FakePool.sizes == ([] if size is None else [size])
+
+
+def test_census_records_appends_misses_in_prime_order(tmp_path):
+    cache = RecordCache(str(tmp_path))
+    cache.put(RecordCache.key(M7_FAMILY, 43), census(M7_FAMILY, 43).to_json_record())
+    records = census_records(M7_FAMILY, [71, 43, 29], cache=cache)
+    assert [r["p"] for r in records] == [71, 43, 29]
+    lines = (tmp_path / "census-cache.jsonl").read_text().splitlines()
+    assert [json.loads(line)["record"]["p"] for line in lines] == [43, 71, 29]
+    # a fresh cache over the same file replays every record
+    assert census_records(M7_FAMILY, [71, 43, 29], cache=RecordCache(str(tmp_path))) == records
+
+
+def test_census_records_without_cache_is_census():
+    assert census_records(M7_FAMILY, [29]) == [census(M7_FAMILY, 29).to_json_record()]
+    with pytest.raises(ParamOutOfRange):
+        census_records(M7_FAMILY, [29], workers=0)
+    with pytest.raises(HypothesisNotMet):
+        census_records(M7_FAMILY, [13])
 
 
 # --------------------------------------------------------- supersingular CM
