@@ -8,9 +8,10 @@ surveys, clutching, and the f(a,b,c) toolkit.
 Configuration is resolved lowest to highest: built-in defaults, a
 key=value config file (--config), the CYCLOCOVER_CACHE_DIR and
 CYCLOCOVER_WORKERS environment variables, explicit flags.  A seed is
-required only by commands that factor polynomials (witness); everything
-else is deterministic without one.  Identical invocations print
-byte-identical JSON.
+required only by the command that splits polynomials at random
+(witness), and its output does not depend on it; everything else is
+deterministic without one.  Identical invocations print byte-identical
+JSON.
 
 Census records can be cached in a JSON-lines file under cache_dir.  The
 key is a content hash of (command, datum, p, version), so a hit replays
@@ -28,7 +29,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import __version__
@@ -50,7 +51,6 @@ from .hassewitt import (
     phi_entry,
     psi_entry,
     specialize_infty,
-    witness_count,
 )
 from .monodromy import (
     canonicalize,
@@ -70,7 +70,6 @@ from .strata import (
 )
 
 _OUTPUTS = ("human", "json", "csv")
-_CONFIG_KEYS = ("seed", "dmax", "term_budget", "workers", "output", "cache_dir")
 _INT_KEYS = frozenset(("seed", "dmax", "term_budget", "workers"))
 
 
@@ -96,6 +95,9 @@ class RunConfig:
             raise InvalidInput(f"output must be one of {', '.join(_OUTPUTS)}")
         if self.seed is not None and not -(2**63) <= self.seed < 2**63:
             raise ParamOutOfRange("seed must fit in 64 bits")
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _coerce_int(name: str, value) -> int:
@@ -127,14 +129,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = {
-        "seed": None,
-        "dmax": 4,
-        "term_budget": DEFAULT_TERM_BUDGET,
-        "workers": 1,
-        "output": "human",
-        "cache_dir": None,
-    }
+    values = asdict(RunConfig())
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in read_config_file(config_path).items():
@@ -287,7 +282,6 @@ def _cmd_witness(args, cfg: RunConfig) -> None:
     d = parse_datum(args.datum)
     ctx = OrbitContext(d, args.p, args.b0)
     w = nonordinary_witness(ctx, cfg.dmax, cfg.seed, cfg.term_budget)
-    count = witness_count(ctx, cfg.term_budget)
     if w is None:
         if cfg.output == "json":
             _emit_json({"alpha": None, "branch_order": None, "certificate": None,
@@ -305,7 +299,7 @@ def _cmd_witness(args, cfg: RunConfig) -> None:
             "alpha": alpha_json,
             "branch_order": list(w.branch_order),
             "certificate": w.certificate.to_json(),
-            "count": count,
+            "count": w.count,
             "degree": w.degree,
             "found": w.alpha is not None,
         })
@@ -320,7 +314,7 @@ def _cmd_witness(args, cfg: RunConfig) -> None:
     else:
         _emit(f"witness of degree {w.degree}: generator of "
               f"F_{args.p}[t]/({w.certificate.to_text()}); branch order {order}")
-    _emit(f"{count} distinct non-ordinary parameters outside {{0, 1}}")
+    _emit(f"{w.count} distinct non-ordinary parameters outside {{0, 1}}")
 
 
 def _cmd_census(args, cfg: RunConfig) -> None:

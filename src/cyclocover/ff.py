@@ -639,31 +639,26 @@ def _squarefree_parts(f: FpUniPoly) -> dict:
     return res
 
 
-def _distinct_degree(f: FpUniPoly, cap: Optional[int] = None) -> list:
-    """Monic squarefree f -> [(product of irreducible factors of degree d, d)].
-
-    With cap set, stops after degree cap and drops the remainder (used by
-    the bounded root search)."""
+def _distinct_degree(f: FpUniPoly):
+    """Monic squarefree f -> (product of irreducible factors of degree d, d)
+    for increasing d, lazily: a consumer that stops early pays no powmod
+    for the higher degrees."""
     p = f.field.p
-    out = []
-    h = FpUniPoly(f.field, [0, 1])  # t
+    t = FpUniPoly(f.field, [0, 1])
+    h = t
     cur = f
     d = 0
     while cur.degree and cur.degree > 0:
         d += 1
-        if cap is not None and d > cap:
-            return out
         if cur.degree < 2 * d:
-            if cap is None or cur.degree <= cap:
-                out.append((cur, cur.degree))
-            break
+            yield cur, cur.degree
+            return
         h = poly_powmod(h, p, cur)
-        g = cur.gcd(h - FpUniPoly(f.field, [0, 1]))
+        g = cur.gcd(h - t)
         if g.degree and g.degree > 0:
-            out.append((g, d))
+            yield g, d
             cur = (cur // g).monic()
             h = h % cur
-    return out
 
 
 def _equal_degree_split(f: FpUniPoly, d: int, rng: random.Random) -> list:
@@ -701,6 +696,17 @@ def factor(f: FpUniPoly, seed: int) -> Factorization:
                 found[irr] = found.get(irr, 0) + mult
     factors = sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit=unit, factors=tuple(factors))
+
+
+def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
+    """Least monic irreducible factor of monic squarefree f in the order
+    (degree, coefficients) that factor sorts by.  Irreducible factors are
+    unique, so this is factor(f, seed).factors[0][0] for every seed; only
+    the lowest distinct-degree block is split."""
+    if f.degree is None or f.degree < 1:
+        raise InvalidInput("a constant has no irreducible factor")
+    prod, d = next(_distinct_degree(f))
+    return min(_equal_degree_split(prod, d, random.Random(seed)), key=lambda g: g.coeffs)
 
 
 def is_irreducible(f: FpUniPoly) -> bool:
@@ -845,7 +851,9 @@ def ext_roots(f: FpUniPoly, dmax: int, seed: int) -> list:
     rng = random.Random(seed)
     irreducibles = []
     for part in _squarefree_parts(f.monic()):
-        for prod, d in _distinct_degree(part, cap=dmax):
+        for prod, d in _distinct_degree(part):
+            if d > dmax:
+                break
             irreducibles.extend(_equal_degree_split(prod, d, rng))
     irreducibles.sort(key=lambda g: (g.degree, g.coeffs))
     out = []

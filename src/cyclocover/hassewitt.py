@@ -30,7 +30,7 @@ from .errors import (
     PDividesM,
     PsiHypothesisNotMet,
 )
-from .fabc import FabcParams, fabc
+from .fabc import FabcParams, fabc, strip
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtField,
@@ -38,7 +38,7 @@ from .ff import (
     FpUniPoly,
     PrimeField,
     binomial_mod_p,
-    factor,
+    least_factor,
     _squarefree_parts,
 )
 from .monodromy import MonodromyDatum, frobenius_orbits, signature
@@ -73,7 +73,7 @@ def first_covering_index(bs, n: int) -> int:
         acc += b
         if acc > n:
             return idx
-    raise AssertionError("unreachable")
+    raise InternalError(f"no covering index although sum(bs) > {n}")
 
 
 def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
@@ -669,16 +669,58 @@ def _strip_01(f: FpUniPoly) -> FpUniPoly:
     return f.strip_root(0)[1].strip_root(1)[1]
 
 
+def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
+    """Monic product of the distinct irreducible factors of h1 away from
+    t and t - 1; the constant 1 when h1 has no root off {0, 1}.
+
+    When h1 is one phi entry +-f(a,b,c) in the closed-form window (every
+    balanced pair's chain when p = +-1 mod m), the radical is
+    f(a',b',c') made monic, with (a',b',c') = strip(a,b,c).reduced, and
+    neither h1 nor gcd(f, f') is computed.  Proof:
+      * strip's identity f(a,b,c) = +-t^s (t-1)^u f(a',b',c'), with
+        f(a',b',c') nonzero at 0 and 1, removes the roots at 0 and 1
+        exactly.
+      * g = f(a',b',c') satisfies the hypergeometric equation
+        t(1-t) g'' + (b'-c'+1 + (a'+c'-1) t) g' - a'c' g = 0, because
+        the coefficients u_i of g obey
+        (i+1)(b'-c'+i+1) u_{i+1} = (i-a')(i-c') u_i over Z, hence over
+        F_p.  Its only finite singular points are 0 and 1.
+      * Let z, in an extension of F_p, be a double root outside {0, 1}:
+        g(z) = g'(z) = 0.  The equation differentiated k times has
+        leading term t(1-t) g^(k+2), and t(1-t) is a unit at z, so by
+        induction every derivative of g vanishes at z.  As
+        deg g <= a' < p, every k! up to deg g is a unit, so Taylor
+        expansion at z forces g = 0.  But g has a unit coefficient.
+    So g is squarefree and is its own radical away from 0 and 1.  Every
+    other chain shape builds h1, strips t and t - 1, and multiplies the
+    parts of a squarefree decomposition."""
+    params = h1_fabc_params(ctx, budget)
+    if params is not None:
+        return fabc(strip(params).reduced).monic()
+    poly = h1(ctx, budget)
+    if poly.is_zero:
+        raise HypothesisNotMet(
+            "chain composite vanishes identically; every parameter is a witness"
+        )
+    out = FpUniPoly.one(ctx.field)
+    for part in _squarefree_parts(_strip_01(poly).monic()):
+        out = out * part
+    return out
+
+
 @dataclass(frozen=True)
 class Witness:
-    """A certified non-ordinary member: alpha is a root of the certificate
-    (None when every remaining factor exceeds the degree cap), in the
-    branch coordinates fixed by branch_order."""
+    """A certified non-ordinary member: the certificate is the least
+    irreducible factor of h1_radical (by degree, then coefficients) and
+    alpha a root of it in the branch coordinates fixed by branch_order,
+    or None when the certificate's degree exceeds the cap.  count is the
+    number of distinct roots of h1 off {0, 1}."""
 
     alpha: Optional[object]
     degree: int
     certificate: FpUniPoly
     branch_order: tuple
+    count: int
 
 
 def nonordinary_witness(
@@ -686,40 +728,25 @@ def nonordinary_witness(
 ) -> Optional[Witness]:
     """Root of h1 off {0, 1}, as a concrete extension-field element.
 
-    Returns None only when h1 has no factor left after stripping t and
-    t - 1 (for p > 3m that cannot happen)."""
+    The certificate does not depend on the seed, which drives only the
+    equal-degree split of the lowest-degree factors.  Returns None only
+    when h1 has no root off {0, 1} (for p > 3m that cannot happen)."""
     if dmax < 1:
         raise ParamOutOfRange("dmax must be >= 1")
-    poly = h1(ctx, budget)
-    if poly.is_zero:
-        raise HypothesisNotMet(
-            "chain composite vanishes identically; every parameter is a witness"
-        )
-    g = _strip_01(poly)
-    if g.degree == 0:
+    rad = h1_radical(ctx, budget)
+    if rad.degree == 0:
         return None
-    fac = factor(g, seed)
-    for base_poly, _mult in fac.factors:
-        if base_poly.degree <= dmax:
-            if base_poly.degree == 1:
-                # root in the prime field itself
-                root = (-base_poly.coeffs[0] * ctx.field.inv(base_poly.coeffs[1])) % ctx.p
-                return Witness(root, 1, base_poly, ctx.branch_order)
-            ext = ExtField(ctx.field, base_poly, check=False)
-            return Witness(ext.generator(), base_poly.degree, base_poly, ctx.branch_order)
-    smallest = fac.factors[0][0]
-    return Witness(None, smallest.degree, smallest, ctx.branch_order)
+    cert = least_factor(rad, seed)
+    if cert.degree == 1:
+        # root in the prime field itself; the certificate is monic
+        alpha = -cert.coeffs[0] % ctx.p
+    elif cert.degree <= dmax:
+        alpha = ExtField(ctx.field, cert, check=False).generator()
+    else:
+        alpha = None
+    return Witness(alpha, cert.degree, cert, ctx.branch_order, rad.degree)
 
 
 def witness_count(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> int:
-    """Number of distinct roots of h1 outside {0, 1}: the degree of the
-    radical of h1 with all t and (t - 1) factors removed."""
-    poly = h1(ctx, budget)
-    if poly.is_zero:
-        raise HypothesisNotMet(
-            "chain composite vanishes identically; every parameter is a witness"
-        )
-    g = _strip_01(poly)
-    if g.degree == 0:
-        return 0
-    return sum(part.degree for part in _squarefree_parts(g.monic()))
+    """Number of distinct roots of h1 outside {0, 1}."""
+    return h1_radical(ctx, budget).degree

@@ -13,13 +13,13 @@ generic or drops to the isoclinic bottom, according to whether the
 specialized chain polynomial phi_c vanishes at the curve coordinate.
 The census decides each vanishing pattern exactly, by gcds and cofactors
 of the radicals of the phi_c away from 0 and 1, and attaches those
-polynomials as certificates.  In these classes phi_c is a single entry
-+-f(a,b,c), and its radical comes from the closed form
-f(strip(a,b,c).reduced) with no chain composite and no gcd(f, f').  In
-the remaining congruence classes only the generic/non-generic split is
-reported, certified by the radical of the chain polynomial at the
-smallest anchor character: by the same closed form when that chain is a
-single phi entry, otherwise by stripping and a squarefree decomposition.
+polynomials as certificates.  In the remaining congruence classes only
+the generic/non-generic split is reported, certified by the radical of
+the chain polynomial at the smallest anchor character.  Every radical is
+hassewitt.h1_radical, the one the witness search also uses: in the
+classes p = +-1 mod m phi_c is a single entry +-f(a,b,c) and its radical
+is the closed form f(strip(a,b,c).reduced), with no chain composite and
+no gcd(f, f'); longer chains are built, stripped and squarefree-split.
 """
 
 import csv
@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from .fabc import fabc, strip
+from .fabc import fabc
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtFieldElem,
@@ -51,17 +51,15 @@ from .ff import (
     PrimeField,
     eval_in_ext,
     is_prime_u64,
-    _squarefree_parts,
 )
 from .hassewitt import (
     OrbitContext,
     branch_exponents,
     h1,
-    h1_fabc_params,
+    h1_radical,
     phi_entry,
     specialize_infty,
     _phi_fabc_params,
-    _strip_01,
 )
 from .monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, signature, _is_int
 
@@ -178,37 +176,35 @@ def basic_orbit(orbit: FrobeniusOrbit, sig) -> NewtonPolygon:
     return NewtonPolygon(((Fraction(fsum, height), height),))
 
 
-def mu_ordinary_family(datum: MonodromyDatum, p: int) -> NewtonPolygon:
-    """Generic polygon of the whole family: sum over all orbits."""
+def _orbit_sum(datum: MonodromyDatum, p: int, piece) -> NewtonPolygon:
+    """Sum of piece(orbit, sig) over the Frobenius orbits of the family."""
     PrimeField(p)
     sig = signature(datum)
-    out = NewtonPolygon(())
-    for orbit in frobenius_orbits(datum.m, p, sig):
-        out = out + mu_ordinary_orbit(orbit, sig)
-    return out
+    return NewtonPolygon.from_slopes(
+        part for orbit in frobenius_orbits(datum.m, p, sig) for part in piece(orbit, sig).parts
+    )
+
+
+def mu_ordinary_family(datum: MonodromyDatum, p: int) -> NewtonPolygon:
+    """Generic polygon of the whole family: sum over all orbits."""
+    return _orbit_sum(datum, p, mu_ordinary_orbit)
 
 
 def basic_family(datum: MonodromyDatum, p: int) -> NewtonPolygon:
     """Bottom polygon of the whole family: sum of isoclinic orbit pieces."""
-    PrimeField(p)
-    sig = signature(datum)
-    out = NewtonPolygon(())
-    for orbit in frobenius_orbits(datum.m, p, sig):
-        out = out + basic_orbit(orbit, sig)
-    return out
+    return _orbit_sum(datum, p, basic_orbit)
 
 
 def _stratum_polygon(datum: MonodromyDatum, p: int, vanishing: frozenset) -> NewtonPolygon:
     """Polygon of the stratum where exactly the pairs named in `vanishing`
     (by their representative min(c, m-c)) drop to the bottom piece."""
     m = datum.m
-    sig = signature(datum)
-    out = NewtonPolygon(())
-    for orbit in frobenius_orbits(m, p, sig):
+
+    def piece(orbit: FrobeniusOrbit, sig) -> NewtonPolygon:
         rep = min(min(c, m - c) for c in orbit.members)
-        piece = basic_orbit(orbit, sig) if rep in vanishing else mu_ordinary_orbit(orbit, sig)
-        out = out + piece
-    return out
+        return (basic_orbit if rep in vanishing else mu_ordinary_orbit)(orbit, sig)
+
+    return _orbit_sum(datum, p, piece)
 
 
 @dataclass(frozen=True)
@@ -237,56 +233,6 @@ class Classification:
     polygon: NewtonPolygon
 
 
-def _chain_poly(datum: MonodromyDatum, p: int, c: int, budget: int) -> FpUniPoly:
-    """Specialized chain polynomial anchored at character c (base m-c)."""
-    ctx = OrbitContext(datum, p, (datum.m - c) % datum.m)
-    return h1(ctx, budget)
-
-
-def _radical_01(f: FpUniPoly) -> FpUniPoly:
-    """Monic product of the distinct irreducible factors of f away from
-    t and t-1, for any f: strip, then a squarefree decomposition."""
-    if f.is_zero:
-        raise HypothesisNotMet("chain polynomial vanishes identically")
-    stripped = _strip_01(f)
-    if stripped.degree == 0:
-        return FpUniPoly.one(f.field)
-    out = FpUniPoly.one(f.field)
-    for part in _squarefree_parts(stripped.monic()):
-        out = out * part
-    return out
-
-
-def _chain_radical(datum: MonodromyDatum, p: int, c: int, budget: int) -> FpUniPoly:
-    """_radical_01 of the chain polynomial anchored at character c.
-
-    When h1 is one phi entry +-f(a,b,c) in the closed-form window (every
-    balanced pair's chain when p = +-1 mod m), the radical is
-    f(a',b',c') made monic, with (a',b',c') = strip(a,b,c).reduced, and
-    neither h1 nor gcd(f, f') is computed.  Proof:
-      * strip's identity f(a,b,c) = +-t^s (t-1)^u f(a',b',c'), with
-        f(a',b',c') nonzero at 0 and 1, removes the roots at 0 and 1
-        exactly.
-      * g = f(a',b',c') satisfies the hypergeometric equation
-        t(1-t) g'' + (b'-c'+1 + (a'+c'-1) t) g' - a'c' g = 0, because
-        the coefficients u_i of g obey
-        (i+1)(b'-c'+i+1) u_{i+1} = (i-a')(i-c') u_i over Z, hence over
-        F_p.  Its only finite singular points are 0 and 1.
-      * Let z, in an extension of F_p, be a double root outside {0, 1}:
-        g(z) = g'(z) = 0.  The equation differentiated k times has
-        leading term t(1-t) g^(k+2), and t(1-t) is a unit at z, so by
-        induction every derivative of g vanishes at z.  As
-        deg g <= a' < p, every k! up to deg g is a unit, so Taylor
-        expansion at z forces g = 0.  But g has a unit coefficient.
-    So g is squarefree and is its own radical away from 0 and 1.  Every
-    other chain shape takes the generic route through h1."""
-    ctx = OrbitContext(datum, p, (datum.m - c) % datum.m)
-    params = h1_fabc_params(ctx, budget)
-    if params is None:
-        return _radical_01(h1(ctx, budget))
-    return fabc(strip(params).reduced).monic()
-
-
 def _vanishes_at(f: FpUniPoly, alpha) -> bool:
     if isinstance(alpha, ExtFieldElem):
         return eval_in_ext(f, alpha).is_zero
@@ -312,7 +258,7 @@ def classify_m7(p: int, alpha, budget: int = DEFAULT_TERM_BUDGET) -> Classificat
         raise ParamOutOfRange("alpha must avoid 0 and 1")
     vanishing = set()
     for c in (2, 3):
-        if _vanishes_at(_chain_poly(M7_FAMILY, p, c, budget), alpha):
+        if _vanishes_at(h1(OrbitContext(M7_FAMILY, p, 7 - c), budget), alpha):
             vanishing.add(c)
     if not vanishing:
         kind = LABEL_MU_ORDINARY
@@ -374,8 +320,8 @@ def census(
 
     For p = +-1 mod m each balanced pair's chain polynomial phi_c is
     stripped of its roots at 0 and 1 and reduced to its radical, read off
-    the f(a,b,c) closed form (_chain_radical); the strata then read off
-    gcds: a pattern is realized exactly when the matching cofactor has
+    the f(a,b,c) closed form (hassewitt.h1_radical); the strata then read
+    off gcds: a pattern is realized exactly when the matching cofactor has
     positive degree.  Other congruence classes get the two-row generic /
     non-generic report."""
     if datum.r != 4 or datum.m not in (5, 7):
@@ -403,7 +349,7 @@ def census(
         polygon=_stratum_polygon(datum, p, frozenset()),
     )
     if cls in (1, m - 1):
-        rads = {c: _chain_radical(datum, p, c, budget) for c in reps}
+        rads = {c: h1_radical(OrbitContext(datum, p, m - c), budget) for c in reps}
         if m == 7 and reps == [2, 3]:
             g = rads[2].gcd(rads[3])
             w2_cof = (rads[3] // g).monic()
@@ -433,7 +379,7 @@ def census(
             )
     else:
         anchor = min(c for c in range(1, m) if sig[c] == 1)
-        rad = _chain_radical(datum, p, anchor, budget)
+        rad = h1_radical(OrbitContext(datum, p, m - anchor), budget)
         nonempty = rad.degree is not None and rad.degree >= 1
         strata = [
             mu_row,

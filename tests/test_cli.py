@@ -585,6 +585,31 @@ def test_balanced_census_is_byte_identical_to_the_recorded_digest(capsys, argv, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded while witness still factored the whole stripped h1 and built
+# h1 a second time for the count
+
+WITNESS_SHA256 = [
+    ("witness 7:4:3,1,1,2 -p 59 --b0 2 --dmax 4 --seed 7 -o json", "52d858059c960c6fb3512c418f3d24d4ef590994de5239fce5b2bb38f38bdc59"),
+    ("witness 7:4:3,1,1,2 -p 29 --b0 5 --dmax 1 --seed 7", "be0b626d80da02afdba015d7b685ef861c9786a2828c680b017379be11edde5c"),
+    ("witness 7:4:3,1,1,2 -p 31 --b0 2 --seed 3 -o json", "98db952b4ce72cf5477da883fceb6d6a2e8f1f1a4fda1462c2de7ad56231794d"),
+    ("witness 7:4:3,1,1,2 -p 197 --b0 4 --seed 9 -o json", "e1e1e9a59dc76d5219030582ee322cd6b9f487f65b862aaacb500626b870d0c2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", WITNESS_SHA256)
+def test_witness_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_term_budget_below_entry_degree(capsys):
+    code, out, err = run(capsys, *"witness 7:4:3,1,1,2 -p 197 --b0 4 --seed 9 --term-budget 50".split())
+    assert (code, out, err) == (
+        3, "", "error[degree-budget-exceeded]: composite degree ~84 exceeds the budget 50\n"
+    )
+
+
 @pytest.mark.parametrize("argv,line", [
     ("census 7:4:3,1,1,2 -p 97 --term-budget 10 -o json",
      "error[degree-budget-exceeded]: composite degree ~13 exceeds the budget 10"),

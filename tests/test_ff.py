@@ -21,6 +21,7 @@ from cyclocover.ff import (
     factor,
     is_irreducible,
     is_prime_u64,
+    least_factor,
     poly_powmod,
 )
 
@@ -302,6 +303,36 @@ def test_factor_against_sympy():
             assert ours.unit == unit
             got = sorted((list(g.coeffs), m) for g, m in ours.factors)
             assert got == sorted(theirs)
+
+
+@st.composite
+def products_of_distinct_irreducibles(draw):
+    """Monic squarefree product of distinct irreducibles of degrees 1-6."""
+    field = PrimeField(draw(st.sampled_from([3, 5, 13, 101])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    found = set()
+    for d in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        g = FpUniPoly(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        while not is_irreducible(g):
+            g = FpUniPoly(field, [rng.randrange(field.p) for _ in range(d)] + [1])
+        found.add(g)
+    out = FpUniPoly.one(field)
+    for g in found:
+        out = out * g
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(products_of_distinct_irreducibles(), st.integers(0, 2**32), st.integers(0, 2**32))
+def test_least_factor_is_the_first_factor(f, seed, other_seed):
+    least = least_factor(f, seed)
+    assert least == factor(f, seed).factors[0][0]
+    assert least_factor(f, other_seed) == least
+
+
+def test_least_factor_of_a_constant_is_invalid():
+    with pytest.raises(InvalidInput):
+        least_factor(FpUniPoly.one(F13), seed=1)
 
 
 def test_ext_field_arithmetic():

@@ -15,7 +15,7 @@ from cyclocover.errors import (
     PDividesM,
     PsiHypothesisNotMet,
 )
-from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, binomial_mod_p
+from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, binomial_mod_p, factor
 from cyclocover.hassewitt import (
     HWChain,
     OrbitContext,
@@ -27,6 +27,7 @@ from cyclocover.hassewitt import (
     h0,
     h0_divisor_multiplicity,
     h1,
+    h1_fabc_params,
     h1_profile,
     nonordinary_witness,
     phi_entry,
@@ -38,6 +39,7 @@ from cyclocover.hassewitt import (
     witness_count,
     _mat_mul_uni,
     _qhat,
+    _strip_01,
 )
 from cyclocover.monodromy import MonodromyDatum, signature
 
@@ -673,6 +675,44 @@ def test_witness_golden_p29():
     # degree cap below the smallest factor still reports its size
     capped = nonordinary_witness(ctx, dmax=1, seed=11)
     assert capped.alpha is None and capped.degree == 2
+
+
+def _seeded_chains(seed, closed_form, want):
+    """OrbitContexts of M5/M7 four-point data at primes in (3m, 60), drawn
+    with a seeded RNG: single phi entries (h1 = +-f(a,b,c)) when
+    closed_form, else two-step chains that take the generic path through
+    h1 (longer ones reach degrees in the thousands, too slow for factor)."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < want:
+        m = rng.choice((5, 7))
+        a = tuple(rng.randrange(1, m) for _ in range(3))
+        last = -sum(a) % m
+        if last == 0 or math.gcd(m, *a) != 1:
+            continue
+        d = MonodromyDatum(m, 4, a + (last,))
+        sig = signature(d)
+        p = rng.choice([q for q in _primes_in(3 * m + 1, 60) if q % m])
+        bases = [b for b in range(1, m) if sig[m - b] == 1]
+        if not bases:
+            continue
+        ctx = OrbitContext(d, p, rng.choice(bases))
+        if ctx.i0 <= 2 and (h1_fabc_params(ctx) is not None) == closed_form:
+            out.append(ctx)
+    return out
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["closed-form", "generic"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_witness_certificate_is_the_least_factor(seed, closed_form):
+    for ctx in _seeded_chains(seed, closed_form, 4):
+        wit = nonordinary_witness(ctx, dmax=4, seed=seed)
+        fac = factor(_strip_01(h1(ctx)), seed=1)
+        assert wit.certificate == fac.factors[0][0], ctx
+        assert wit.count == witness_count(ctx) == sum(g.degree for g, _ in fac.factors)
+        assert (wit.alpha is None) == (wit.degree > 4)
 
 
 def test_witness_count_floor():

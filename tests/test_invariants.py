@@ -6,14 +6,25 @@ import cyclocover
 SRC = Path(cyclocover.__file__).resolve().parent
 
 
+def _is_assertion(node) -> bool:
+    """An assert statement, or a raise of AssertionError (bare or called)."""
+    if isinstance(node, ast.Assert):
+        return True
+    exc = node.exc if isinstance(node, ast.Raise) else None
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements; library invariants raise
-    # errors.InternalError instead, so they hold under -O too
+    # errors.InternalError instead, so they hold under -O too, and carry
+    # its exit code rather than surfacing as a bare AssertionError
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        if _is_assertion(node)
     ]
     assert found == []
 
@@ -30,3 +41,17 @@ def test_one_process_pool_in_the_library():
         or (isinstance(node, ast.alias) and node.name == "ProcessPoolExecutor")
     }
     assert users == {"strata.py"}
+
+
+def test_factor_stays_off_the_library_paths():
+    # the library finds witnesses with ff.least_factor; the complete
+    # factorization is kept as a test oracle only
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "factor")
+        or (isinstance(node, ast.Attribute) and node.attr == "factor")
+        or (isinstance(node, ast.alias) and node.name == "factor")
+    }
+    assert users <= {"ff.py"}

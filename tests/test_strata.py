@@ -16,8 +16,15 @@ from cyclocover.errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from cyclocover.ff import DEFAULT_TERM_BUDGET, ExtField, FpUniPoly, PrimeField
-from cyclocover.hassewitt import OrbitContext, h1, h1_fabc_params, witness_count
+from cyclocover.ff import ExtField, FpUniPoly, PrimeField, _squarefree_parts
+from cyclocover.hassewitt import (
+    OrbitContext,
+    h1,
+    h1_fabc_params,
+    h1_radical,
+    witness_count,
+    _strip_01,
+)
 from cyclocover.monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, genus, signature
 from cyclocover import strata
 from cyclocover.strata import (
@@ -37,8 +44,6 @@ from cyclocover.strata import (
     prime_survey,
     supersingular_minus_one,
     survey_primes,
-    _chain_radical,
-    _radical_01,
 )
 
 from oracles import mu_ordinary_slopes_oracle, phi_entry_oracle
@@ -598,6 +603,15 @@ def test_supersingular_rejections():
 # closed-form radicals against the generic path
 
 
+def _radical_01(f):
+    """Generic radical away from 0 and 1: strip t and t - 1, then multiply
+    the parts of a squarefree decomposition."""
+    out = FpUniPoly.one(f.field)
+    for part in _squarefree_parts(_strip_01(f).monic()):
+        out = out * part
+    return out
+
+
 def _balanced_chains(m, p):
     """(datum, c) for every M5/M7 four-point datum (labels sorted) and every
     balanced character c whose pair has signature 1 on both sides."""
@@ -622,7 +636,7 @@ def test_closed_form_radical_matches_generic_path(seed):
                 for d, c in rng.sample(chains, min(8, len(chains))):
                     ctx = OrbitContext(d, p, m - c)
                     assert h1_fabc_params(ctx) is not None, (d, p, c)
-                    assert _chain_radical(d, p, c, DEFAULT_TERM_BUDGET) == _radical_01(h1(ctx)), (d, p, c)
+                    assert h1_radical(ctx) == _radical_01(h1(ctx)), (d, p, c)
 
 
 @pytest.mark.parametrize("p,c", [(31, 2), (53, 2), (37, 3)])
@@ -630,6 +644,6 @@ def test_long_orbit_chain_takes_the_generic_path(p, c):
     ctx = OrbitContext(M7_FAMILY, p, 7 - c)
     assert ctx.i0 > 1
     assert h1_fabc_params(ctx) is None
-    rad = _chain_radical(M7_FAMILY, p, c, DEFAULT_TERM_BUDGET)
+    rad = h1_radical(ctx)
     assert rad == _radical_01(h1(ctx))
     assert rad.degree >= 1
