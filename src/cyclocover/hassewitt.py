@@ -7,16 +7,29 @@ phi entries are single signed slices, psi entries combine decremented
 slices with the cofactor coefficients of prod_{s != k} (x - x_s).
 
 An OrbitContext walks the multiplication-by-p orbit through a chosen
-base character and assembles the chain matrices A_0..A_{l-1}, whose
-twisted composite h0 cuts out the non-ordinary locus in the branch-point
-coordinates.  For four branch points the substitution
-(x_1, x_2, x_3, x_4) = (infinity, t, 1, 0) turns every entry into a
-univariate polynomial, and the partial composite h1 over the first i0
-steps gives a computable certificate of non-ordinariness.
+base character.  One builder (_layers) assembles its chain matrices and
+one path sum (_composite) twists and composes them: multivariate over
+all l steps for h0, which cuts out the non-ordinary locus in the
+branch-point coordinates, and univariate over the first i0 steps for h1.
+For four branch points the substitution (x_1, x_2, x_3, x_4) =
+(infinity, t, 1, 0) turns every entry into a univariate polynomial, and
+h1 gives a computable certificate of non-ordinariness.
+
+The specialized degree-n phi slice is zero unless 0 <= n <= sum(b);
+otherwise, with E1 = min(b_1, n) and E4 = max(0, n - b_1 - b_2 - b_3),
+it equals (-1)^n C(b_1, E1) C(b_4, E4) f(b_2, b_3, n - E1 - E4).  Proof:
+each C(b_k, e_k) with 0 <= e_k <= b_k < p is a unit, so the slice has a
+term for every composition of n with parts e_k <= b_k.  The gap e_1 - e_4
+is largest, E1 - E4, exactly when e_1 = E1 and e_4 = E4 (lowering e_1 by
+d raises the least admissible e_4 by at most d).  specialize_infty keeps
+those terms and sets x_1 = x_3 = x_4 = 1, leaving C(b_1, E1) C(b_4, E4)
+f(b_2, b_3, n - E1 - E4).
 """
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -319,33 +332,31 @@ class OrbitContext:
         )
 
 
-@dataclass(frozen=True)
-class HWChain:
-    """Chain matrices A_0..A_{l-1}; A_i has shape dims[i+1] x dims[i]."""
+def _layers(ctx: OrbitContext, steps: int, phi, psi) -> tuple:
+    """Chain matrices A_0..A_{steps-1} along the orbit walk, A_i of shape
+    dims[i+1] x dims[i], with entries phi(w, jp, j) or psi(w, jp, j) by
+    the step's kind at its chain character w."""
+    mats = []
+    for i in range(steps):
+        entry = phi if ctx.kinds[i] in (KIND_PHI, KIND_PHI_DUAL) else psi
+        w = ctx.chain_chars[i]
+        mats.append(
+            tuple(
+                tuple(entry(w, jp, j) for j in range(1, ctx.dims[i] + 1))
+                for jp in range(1, ctx.dims[i + 1] + 1)
+            )
+        )
+    return tuple(mats)
 
-    matrices: tuple  # of tuples of tuples of FpMultiPoly
-    kinds: tuple
-    chars: tuple
-    dims: tuple
 
-
-def build_chain(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> HWChain:
-    """Assemble the chain matrices along the orbit walk.
+def build_chain(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> tuple:
+    """The multivariate chain matrices A_0..A_{l-1} along the orbit walk.
 
     Plain kinds take entries at u_i, dual kinds at m - u_i (the operators
     at mirrored characters are represented by the same matrices)."""
-    mats = []
-    for i in range(ctx.l):
-        rows, cols = ctx.dims[i + 1], ctx.dims[i]
-        w = ctx.chain_chars[i]
-        entry = phi_entry if ctx.kinds[i] in (KIND_PHI, KIND_PHI_DUAL) else psi_entry
-        mats.append(
-            tuple(
-                tuple(entry(ctx.datum, ctx.p, w, jp, j, budget) for j in range(1, cols + 1))
-                for jp in range(1, rows + 1)
-            )
-        )
-    return HWChain(tuple(mats), ctx.kinds, ctx.chain_chars, ctx.dims)
+    phi = functools.partial(phi_entry, ctx.datum, ctx.p, budget=budget)
+    psi = functools.partial(psi_entry, ctx.datum, ctx.p, budget=budget)
+    return _layers(ctx, ctx.l, phi, psi)
 
 
 def _paths(dims):
@@ -356,21 +367,74 @@ def _paths(dims):
         yield (1, *mid, 1)
 
 
+def _composite(layers, dims, one, mul):
+    """Twisted composite of the layers A_0..A_{l-1} as the path sum
+
+        sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)),
+
+    each path's product taken left to right from `one` with `mul`."""
+    l = len(layers)
+    total = None
+    for path in _paths(dims):
+        term = one
+        for i, mat in enumerate(layers):
+            term = mul(term, mat[path[i + 1] - 1][path[i] - 1].frobenius_pow(l - 1 - i))
+        total = term if total is None else total + term
+    return total
+
+
+def _slice_size(bs, n: int) -> int:
+    """Number of terms of the degree-n graded slice: the compositions of
+    n with parts 0 <= e_k <= b_k, counted by prefix sums."""
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for b in bs:
+        acc = list(itertools.accumulate(ways))
+        ways = [v - (acc[s - b - 1] if s > b else 0) for s, v in enumerate(acc)]
+    return ways[n]
+
+
+def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
+    """Raise, before any entry is built, the error FpMultiPoly.mul would
+    raise in the path sum of a chain whose kinds are all phi or phi_dual.
+    The counts are exact: slice coefficients are units and slice exponents
+    are below p, so twisted factors multiply without collisions.  A slice
+    over the budget is left to build_chain, which refuses it itself."""
+
+    def size(w, jp, j):
+        bs = branch_exponents(ctx.datum, ctx.p, w)
+        return _slice_size(bs, sum(bs) - (ctx.p * j - jp))
+
+    sizes = _layers(ctx, ctx.l, size, None)
+    if any(n > budget for mat in sizes for row in mat for n in row):
+        return
+    for path in _paths(ctx.dims):
+        terms = 1
+        for i, mat in enumerate(sizes):
+            terms *= mat[path[i + 1] - 1][path[i] - 1]
+            if terms > 4 * budget:
+                raise DegreeBudgetExceeded(f"product would touch ~{terms} term pairs")
+            if terms > budget:
+                raise DegreeBudgetExceeded(f"product has {terms} terms (budget {budget})")
+
+
 def h0(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpMultiPoly:
     """Scalar twisted composite of the full chain, as the path sum
 
         h0 = sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)).
 
-    Grows like p^l; the budget turns infeasible requests into an error."""
-    chain = build_chain(ctx, budget)
-    total = FpMultiPoly.zero(ctx.field, ctx.datum.r)
-    for path in _paths(chain.dims):
-        term = FpMultiPoly.constant(ctx.field, ctx.datum.r, 1)
-        for i in range(ctx.l):
-            entry = chain.matrices[i][path[i + 1] - 1][path[i] - 1]
-            term = term.mul(entry.frobenius_pow(ctx.l - 1 - i), budget)
-        total = total + term
-    return total
+    Grows like p^l; the budget turns infeasible requests into an error,
+    raised before the chain is built when every step has kind phi or
+    phi_dual."""
+    if all(k in (KIND_PHI, KIND_PHI_DUAL) for k in ctx.kinds):
+        _refuse_phi_composite(ctx, budget)
+    return _composite(
+        build_chain(ctx, budget),
+        ctx.dims,
+        FpMultiPoly.constant(ctx.field, ctx.datum.r, 1),
+        lambda a, b: a.mul(b, budget),
+    )
 
 
 def specialize_infty(f: FpMultiPoly) -> FpUniPoly:
@@ -387,44 +451,35 @@ def specialize_infty(f: FpMultiPoly) -> FpUniPoly:
     return filtered.substitute_values({0: 1, 2: 1, 3: 1}).to_unipoly(1)
 
 
-def _phi_fabc_params(p: int, bs, n: int) -> Optional[FabcParams]:
-    """Parameters of the f(a,b,c) that the specialized degree-n phi slice
-    equals up to the sign (-1)^n, or None outside the window where that
-    holds: the extremal monomials must carry the full first exponent and
-    miss the last variable entirely."""
-    c = n - bs[0]
-    if p == 2 or not 0 <= c <= bs[1] + bs[2]:
+def _phi_fabc_params(p: int, bs, n: int) -> Optional[tuple]:
+    """(params, unit) with the specialized degree-n phi slice, signed by
+    (-1)^n, equal to unit * f(params) (the closed form of the module
+    docstring); None when the slice is zero."""
+    if not 0 <= n <= sum(bs):
         return None
-    return FabcParams(bs[1], bs[2], c, p)
-
-
-def _phi_closed_form(field: PrimeField, bs, n: int) -> Optional[FpUniPoly]:
-    params = _phi_fabc_params(field.p, bs, n)
-    if params is None:
-        return None
-    poly = fabc(params)
-    return poly if n % 2 == 0 else poly.scale(field.p - 1)
+    e1 = min(bs[0], n)
+    e4 = max(0, n - bs[0] - bs[1] - bs[2])
+    unit = binomial_mod_p(bs[0], e1, p) * binomial_mod_p(bs[3], e4, p) % p
+    if n % 2:
+        unit = p - unit
+    return FabcParams(bs[1], bs[2], n - e1 - e4, p), unit
 
 
 def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
-    """Univariate phi entry after specialization, via the closed form
-
-        (-1)^N * f(b_2, b_3, N - b_1)   with N = s - p*j + jp
-
-    in the context's branch order; falls back to direct extraction when
-    the closed form's support window fails (possible only at small p)."""
+    """Univariate phi entry after specialization, in the context's branch
+    order: the closed form of the module docstring at N = s - p*j + jp,
+    with no multivariate entry built."""
     if ctx.datum.r != 4:
         raise ParamOutOfRange("specialized entries need four branch points")
-    datum = ctx.ordered_datum
-    sig = ctx.sig
-    m, p = datum.m, ctx.p
-    _check_phi_index(m, p, sig, tau, jp, j)
-    bs = branch_exponents(datum, p, tau)
-    n = sum(bs) - (p * j - jp)
-    closed = _phi_closed_form(ctx.field, bs, n)
-    if closed is not None:
-        return closed
-    return specialize_infty(phi_entry(datum, p, tau, jp, j))
+    p = ctx.p
+    _check_phi_index(ctx.datum.m, p, ctx.sig, tau, jp, j)
+    bs = branch_exponents(ctx.ordered_datum, p, tau)
+    closed = _phi_fabc_params(p, bs, sum(bs) - (p * j - jp))
+    if closed is None:
+        return FpUniPoly.zero(ctx.field)
+    params, unit = closed
+    poly = fabc(params)
+    return poly if unit == 1 else poly.scale(unit)
 
 
 def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
@@ -452,61 +507,13 @@ def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
     return specialize_infty(psi_entry(datum, p, tau, jp, j))
 
 
-@dataclass(frozen=True)
-class SpecializedChain:
-    """Univariate chain matrices for the first i0 steps."""
-
-    matrices: tuple  # of tuples of tuples of FpUniPoly
-    kinds: tuple
-    chars: tuple
-    dims: tuple  # d_0..d_{i0}
-    i0: int
-    branch_order: tuple
-
-
-def specialized_chain(ctx: OrbitContext) -> SpecializedChain:
+def specialized_chain(ctx: OrbitContext) -> tuple:
+    """The univariate chain matrices A_0..A_{i0-1} after specialization."""
     if ctx.datum.r != 4:
         raise ParamOutOfRange("specialized chains need four branch points")
-    mats = []
-    for i in range(ctx.i0):
-        rows, cols = ctx.dims[i + 1], ctx.dims[i]
-        w = ctx.chain_chars[i]
-        entry = (
-            phi_specialized
-            if ctx.kinds[i] in (KIND_PHI, KIND_PHI_DUAL)
-            else psi_specialized
-        )
-        mats.append(
-            tuple(
-                tuple(entry(ctx, w, jp, j) for j in range(1, cols + 1))
-                for jp in range(1, rows + 1)
-            )
-        )
-    return SpecializedChain(
-        tuple(mats),
-        ctx.kinds[: ctx.i0],
-        ctx.chain_chars[: ctx.i0],
-        ctx.dims[: ctx.i0 + 1],
-        ctx.i0,
-        ctx.branch_order,
-    )
-
-
-def _mat_mul_uni(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    if len(a[0]) != mid:
-        raise InternalError(f"chain layers do not compose: {len(a[0])} columns, {mid} rows")
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            cell = None
-            for t in range(mid):
-                term = a[i][t] * b[t][j]
-                cell = term if cell is None else cell + term
-            row.append(cell)
-        out.append(row)
-    return out
+    phi = functools.partial(phi_specialized, ctx)
+    psi = functools.partial(psi_specialized, ctx)
+    return _layers(ctx, ctx.i0, phi, psi)
 
 
 def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
@@ -517,19 +524,15 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
     a 1x1 matrix read off as a polynomial in t.  It divides the full
     specialized composite, so any root off {0, 1} certifies a
     non-ordinary member of the family."""
-    sc = specialized_chain(ctx)
+    layers = specialized_chain(ctx)
     est = 0
-    for i, mat in enumerate(sc.matrices):
+    for i, mat in enumerate(layers):
         dmax = max((e.degree or 0) for row in mat for e in row)
         est += dmax * (ctx.p ** (ctx.i0 - 1 - i))
     _check_composite_degree(est, budget)
-    acc = None
-    for i in range(ctx.i0 - 1, -1, -1):
-        twisted = [
-            [e.frobenius_pow(ctx.i0 - 1 - i) for e in row] for row in sc.matrices[i]
-        ]
-        acc = twisted if acc is None else _mat_mul_uni(acc, twisted)
-    return acc[0][0]
+    return _composite(
+        layers, ctx.dims[: ctx.i0 + 1], FpUniPoly.one(ctx.field), operator.mul
+    )
 
 
 def _check_composite_degree(est: int, budget: int) -> None:
@@ -542,19 +545,22 @@ def _check_composite_degree(est: int, budget: int) -> None:
 def h1_fabc_params(
     ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET
 ) -> Optional[FabcParams]:
-    """Parameters with h1 = +-f(a,b,c), when h1 is a single phi entry in
-    the closed-form window: i0 = 1, so dims (1, 1), and the one step has
-    kind phi.  This is every balanced pair's chain when p = +-1 mod m.
-    None for every other chain shape.
+    """Parameters with h1 = unit * f(a,b,c), when h1 is a single nonzero
+    phi entry: i0 = 1, so dims (1, 1), and the one step has kind phi (the
+    closed form of _phi_fabc_params).  This is every balanced pair's
+    chain when p = +-1 mod m.  None for every other chain shape and for a
+    zero entry.
 
     Refuses, exactly as h1 does, when the entry degree min(a, c) reaches
     the budget."""
     if ctx.datum.r != 4 or ctx.i0 != 1 or ctx.kinds[0] != KIND_PHI:
         return None
     bs = branch_exponents(ctx.ordered_datum, ctx.p, ctx.chain_chars[0])
-    params = _phi_fabc_params(ctx.p, bs, sum(bs) - ctx.p + 1)
-    if params is not None:
-        _check_composite_degree(min(params.a, params.c), budget)
+    closed = _phi_fabc_params(ctx.p, bs, sum(bs) - ctx.p + 1)
+    if closed is None:
+        return None
+    params = closed[0]
+    _check_composite_degree(min(params.a, params.c), budget)
     return params
 
 
@@ -577,14 +583,13 @@ def h1_profile(ctx: OrbitContext) -> H1Profile:
         raise HypothesisNotMet(
             f"profile extraction needs p > 3m (p = {ctx.p}, m = {ctx.datum.m})"
         )
-    sc = specialized_chain(ctx)
+    layers = specialized_chain(ctx)
     p = ctx.p
     vmin = {1: 0}
     dmax = {1: 0}
     vals = {1: 1}
-    for i in range(sc.i0):
-        weight = p ** (sc.i0 - 1 - i)
-        mat = sc.matrices[i]
+    for i, mat in enumerate(layers):
+        weight = p ** (ctx.i0 - 1 - i)
         rows, cols = len(mat), len(mat[0])
         nvmin: dict = {}
         ndmax: dict = {}
@@ -640,10 +645,10 @@ def h0_divisor_multiplicity(
     sum_i p^{l-1-i} * v(entry_i) without expanding the product.  Chains
     with wider layers fall back to expanding h0."""
     if all(d == 1 for d in ctx.dims):
-        chain = build_chain(ctx, budget)
+        layers = build_chain(ctx, budget)
         return sum(
             (ctx.p ** (ctx.l - 1 - i))
-            * divisor_multiplicity(chain.matrices[i][0][0], j1, j2, budget)
+            * divisor_multiplicity(layers[i][0][0], j1, j2, budget)
             for i in range(ctx.l)
         )
     return divisor_multiplicity(h0(ctx, budget), j1, j2, budget)
@@ -673,10 +678,11 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     """Monic product of the distinct irreducible factors of h1 away from
     t and t - 1; the constant 1 when h1 has no root off {0, 1}.
 
-    When h1 is one phi entry +-f(a,b,c) in the closed-form window (every
-    balanced pair's chain when p = +-1 mod m), the radical is
-    f(a',b',c') made monic, with (a',b',c') = strip(a,b,c).reduced, and
-    neither h1 nor gcd(f, f') is computed.  Proof:
+    When h1 is one nonzero phi entry, a unit times f(a,b,c) by the
+    closed form of the module docstring (h1_fabc_params; every balanced
+    pair's chain when p = +-1 mod m), the radical is f(a',b',c') made
+    monic, with (a',b',c') = strip(a,b,c).reduced, and neither h1 nor
+    gcd(f, f') is computed.  Proof:
       * strip's identity f(a,b,c) = +-t^s (t-1)^u f(a',b',c'), with
         f(a',b',c') nonzero at 0 and 1, removes the roots at 0 and 1
         exactly.

@@ -57,8 +57,6 @@ from .hassewitt import (
     branch_exponents,
     h1,
     h1_radical,
-    phi_entry,
-    specialize_infty,
     _phi_fabc_params,
 )
 from .monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, signature, _is_int
@@ -593,9 +591,7 @@ def prime_survey(
     return SurveyResult(datum=datum, congruence=congruence, records=tuple(records))
 
 
-def supersingular_minus_one(
-    datum: MonodromyDatum, p: int, budget: int = DEFAULT_TERM_BUDGET
-) -> bool:
+def supersingular_minus_one(datum: MonodromyDatum, p: int) -> bool:
     """Does the curve at coordinate -1 drop to the all-1/2 bottom polygon?
 
     Needs m odd, a repeated label, and p = -1 mod m.  With the repeated
@@ -626,19 +622,12 @@ def supersingular_minus_one(
     i, j = repeated
     outer = [k for k in range(4) if k not in (i, j)]
     order = (outer[0], i, j, outer[1])
-    ordered = MonodromyDatum(m, 4, tuple(datum.a[k] for k in order))
     sig = signature(datum)
     for c in range(1, (m + 1) // 2):
         if sig[c] != 1 or sig[m - c] != 1:
             continue
         bs = branch_exponents(datum, p, c, order=order)
-        n = sum(bs) - p + 1
-        params = _phi_fabc_params(p, bs, n)
-        if params is not None:
-            value = fabc(params).evaluate(p - 1)
-        else:
-            entry = phi_entry(ordered, p, c, 1, 1, budget)
-            value = specialize_infty(entry).evaluate(p - 1)
-        if value != 0:
+        closed = _phi_fabc_params(p, bs, sum(bs) - p + 1)
+        if closed is not None and fabc(closed[0]).evaluate(p - 1) != 0:
             return False
     return True

@@ -603,6 +603,55 @@ def test_witness_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded before the phi entries took the f(a,b,c) closed form at every
+# degree: at p = 3 each of these six data has a phi entry that the earlier
+# closed form did not cover, so h1 expanded it as a multivariate slice
+
+WIDE_PHI_H1_SHA256 = [
+    ("hw h1 7:4:1,1,2,3 -p 3 --b0 5 -o json", "779faa74026fcd408c934f5d901c73dca2364953dfaebc6bc4f093e2085ada46"),
+    ("hw h1 7:4:1,3,5,5 -p 3 --b0 1 -o json", "872588dfb3583caada25ce9aad7c03e72c129ff8732270b3df69a7e98e8ac261"),
+    ("hw h1 7:4:1,4,4,5 -p 3 --b0 3 -o json", "f8d3e9ad3375d648120b541beca55cbbbfd90ecb91a32f201e3f5304799ae54c"),
+    ("hw h1 7:4:2,2,4,6 -p 3 --b0 6 -o json", "ab8347d76b5a2cf37ac464238cfe1553babb8428e5259f3c5c853f3e6fcf7559"),
+    ("hw h1 7:4:2,3,3,6 -p 3 --b0 4 -o json", "c15e06f13baf4c96a94ca99374b6ba8055617f9cb1b4d5e09136bbe049e6da43"),
+    ("hw h1 7:4:4,5,6,6 -p 3 --b0 2 -o json", "fa086c190efbbb6254656310dc839cb5bbad3e969a603334b96ab82872e44a70"),
+    # the full composite h0, recorded at the same time
+    ("hw h0 7:4:3,1,1,2 -p 13 --b0 5 -o json", "237763c45026782074e96c24b16afc789ce1a4ac94e39c115a8c975736359591"),
+    ("hw h0 5:4:1,1,1,2 -p 3 --b0 2 -o json", "13f6f0cbf0ced9bdfd5674ef2d68f960d82011bd1cb11ab337b0382d2a731e02"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", WIDE_PHI_H1_SHA256)
+def test_chain_composites_are_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_NU_EMPTY = '{"certificate":null,"dim":1,"label":"Nu","nonempty":false}'
+_NU_CERT = '{"certificate":"1 + 2*t^3 + 1*t^4","dim":1,"label":"Nu","nonempty":true}'
+
+
+@pytest.mark.parametrize("labels,nu", [
+    ("1,1,2,3", _NU_EMPTY), ("1,3,5,5", _NU_CERT), ("1,4,4,5", _NU_EMPTY),
+    ("2,2,4,6", _NU_EMPTY), ("2,3,3,6", _NU_EMPTY), ("4,5,6,6", _NU_CERT),
+])
+def test_census_at_p3_of_the_wide_phi_data(capsys, labels, nu):
+    code, out, _ = run(capsys, *f"census 7:4:{labels} -p 3 -o json".split())
+    assert code == 0
+    assert out == (
+        '{"class":3,"p":3,"strata":['
+        '{"certificate":null,"dim":2,"label":"MuOrdinary","nonempty":true},'
+        + nu + "]}\n"
+    )
+
+
+def test_h0_long_orbit_refusal_line(capsys):
+    # the same line as when the whole chain was built first (18-21 s)
+    assert run(capsys, *"hw h0 7:4:3,1,1,2 -p 151 --b0 2".split()) == (
+        3, "", "error[degree-budget-exceeded]: product would touch ~67997325528 term pairs\n"
+    )
+
+
 def test_witness_term_budget_below_entry_degree(capsys):
     code, out, err = run(capsys, *"witness 7:4:3,1,1,2 -p 197 --b0 4 --seed 9 --term-budget 50".split())
     assert (code, out, err) == (

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,14 @@ from cyclocover.errors import (
     DegreeBudgetExceeded,
     HypothesisNotMet,
     IndexOutOfRange,
-    InternalError,
     InvalidInput,
     ParamOutOfRange,
     PDividesM,
     PsiHypothesisNotMet,
 )
 from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, binomial_mod_p, factor
+from cyclocover.fabc import fabc
 from cyclocover.hassewitt import (
-    HWChain,
     OrbitContext,
     branch_exponents,
     build_chain,
@@ -37,7 +38,9 @@ from cyclocover.hassewitt import (
     specialize_infty,
     specialized_chain,
     witness_count,
-    _mat_mul_uni,
+    _composite,
+    _graded_slice,
+    _phi_fabc_params,
     _qhat,
     _strip_01,
 )
@@ -308,7 +311,7 @@ def test_chain_shapes_and_kinds(data):
     assert all(dim >= 1 for dim in ctx.dims)
     for i in range(ctx.l):
         u, v = ctx.chars[i], ctx.chars[(i + 1) % ctx.l]
-        mat = chain.matrices[i]
+        mat = chain[i]
         assert len(mat) == ctx.dims[i + 1]
         assert all(len(row) == ctx.dims[i] for row in mat)
         if sig[u] >= 1:
@@ -321,7 +324,7 @@ def test_chain_shapes_and_kinds(data):
 
 def _oracle_h0(ctx, chain):
     comp = compose_sigma_linear(
-        list(chain.matrices),
+        list(chain),
         ctx.p,
         pow_fn=lambda e, k: e.frobenius_pow(k),
         mul_fn=lambda x, y: x.mul(y),
@@ -352,6 +355,57 @@ def test_h0_budget_guard():
     ctx = OrbitContext(D5, 17, 2)  # l = 4, composite blows up
     with pytest.raises(DegreeBudgetExceeded):
         h0(ctx, budget=10**5)
+
+
+def _sorted_four_data(m):
+    for a in itertools.combinations_with_replacement(range(1, m), 4):
+        if sum(a) % m == 0 and math.gcd(m, *a) == 1:
+            yield MonodromyDatum(m, 4, a)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except DegreeBudgetExceeded as exc:
+        return str(exc)
+
+
+def test_h0_refuses_exactly_as_the_path_sum_would():
+    # all-phi chains are refused before they are built; the outcome (the
+    # composite or the error text) matches the unguarded path sum
+    refusals = set()
+    compared = 0
+    for m, p in [(5, 3), (5, 11), (5, 13), (7, 3), (7, 11), (7, 13)]:
+        for d in _sorted_four_data(m):
+            sig = signature(d)
+            for b0 in range(1, m):
+                if math.gcd(b0, m) != 1 or sig[m - b0] != 1:
+                    continue
+                ctx = OrbitContext(d, p, b0)
+                if not set(ctx.kinds) <= {"phi", "phi_dual"}:
+                    continue
+                one = FpMultiPoly.constant(ctx.field, 4, 1)
+                for budget in (40, 400, 4000):
+                    want = _outcome(lambda: _composite(
+                        build_chain(ctx, budget), ctx.dims, one,
+                        lambda a, b: a.mul(b, budget),
+                    ))
+                    assert _outcome(lambda: h0(ctx, budget)) == want, (d.a, p, b0, budget)
+                    compared += 1
+                    if isinstance(want, str):
+                        refusals.add(want.split(" ")[1])
+    assert compared > 300
+    # slice, pair-count and product-size refusals all occur
+    assert refusals == {"slice", "would", "has"}
+
+
+def test_h0_refuses_a_long_orbit_before_building():
+    ctx = OrbitContext(D7, 151, 2)
+    start = time.perf_counter()
+    with pytest.raises(DegreeBudgetExceeded) as exc:
+        h0(ctx)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == "product would touch ~67997325528 term pairs"
 
 
 def test_specialize_infty_shapes():
@@ -412,14 +466,14 @@ def test_specialized_closed_form_matches_extraction():
         ctx = OrbitContext(d, p, rng.choice(bases))
         sc = specialized_chain(ctx)
         od = ctx.ordered_datum
-        for i in range(sc.i0):
-            w = sc.chars[i]
-            rows, cols = sc.dims[i + 1], sc.dims[i]
-            phi_like = sc.kinds[i] in ("phi", "phi_dual")
+        for i in range(ctx.i0):
+            w = ctx.chain_chars[i]
+            rows, cols = ctx.dims[i + 1], ctx.dims[i]
+            phi_like = ctx.kinds[i] in ("phi", "phi_dual")
             raw = phi_entry if phi_like else psi_entry
             for jp in range(1, rows + 1):
                 for j in range(1, cols + 1):
-                    got = sc.matrices[i][jp - 1][j - 1]
+                    got = sc[i][jp - 1][j - 1]
                     want = specialize_infty(raw(od, p, w, jp, j))
                     assert got == want, (d.a, m, p, w, jp, j)
                     if phi_like:
@@ -427,6 +481,78 @@ def test_specialized_closed_form_matches_extraction():
                     else:
                         checked_psi += 1
     assert checked_phi > 0 and checked_psi > 0
+
+
+def _phi_specialized_against_extraction(ctx):
+    """Compare phi_specialized with specialize_infty(phi_entry) at every
+    phi index of the context.  Returns the number of entries compared and
+    of nonzero ones outside 0 <= N - b_1 <= b_2 + b_3."""
+    d, p, sig = ctx.ordered_datum, ctx.p, ctx.sig
+    compared = wide = 0
+    for tau in range(1, d.m):
+        bs = branch_exponents(d, p, tau)
+        for j in range(1, sig[tau] + 1):
+            for jp in range(1, sig[p * tau % d.m] + 1):
+                want = specialize_infty(phi_entry(d, p, tau, jp, j))
+                assert phi_specialized(ctx, tau, jp, j) == want, (d.a, p, tau, jp, j)
+                n = sum(bs) - p * j + jp
+                compared += 1
+                wide += not want.is_zero and not 0 <= n - bs[0] <= bs[1] + bs[2]
+    return compared, wide
+
+
+# the sorted-label M5/M7 data (with the base character of their chain)
+# whose phi entries at p = 3 reach N - b_1 < 0 or N - b_1 > b_2 + b_3
+WIDE_AT_3 = [
+    ((1, 1, 2, 3), 5), ((1, 3, 5, 5), 1), ((1, 4, 4, 5), 3),
+    ((2, 2, 4, 6), 6), ((2, 3, 3, 6), 4), ((4, 5, 6, 6), 2),
+]
+
+
+@pytest.mark.parametrize("labels,b0", WIDE_AT_3)
+def test_phi_closed_form_covers_every_entry_at_p3(labels, b0):
+    compared, wide = _phi_specialized_against_extraction(
+        OrbitContext(MonodromyDatum(7, 4, labels), 3, b0)
+    )
+    assert compared > 0 and wide > 0
+
+
+def test_phi_closed_form_on_a_seeded_sample():
+    rng = random.Random(20261019)
+    compared = wide = 0
+    for _ in range(40):
+        m = rng.randrange(3, 10)
+        a = tuple(rng.randrange(1, m) for _ in range(3))
+        last = -sum(a) % m
+        if last == 0 or math.gcd(m, *a) != 1:
+            continue
+        d = MonodromyDatum(m, 4, a + (last,))
+        sig = signature(d)
+        p = rng.choice([q for q in _primes_in(3, 60) if m % q])
+        bases = [b for b in range(1, m) if math.gcd(b, m) == 1 and sig[m - b] == 1]
+        if bases:
+            c, w = _phi_specialized_against_extraction(OrbitContext(d, p, rng.choice(bases)))
+            compared, wide = compared + c, wide + w
+    assert compared > 100 and wide > 0
+
+
+def test_phi_closed_form_matches_every_slice():
+    # every degree, zero slices at n < 0 and n > sum(bs) included
+    rng = random.Random(5)
+    for p in (3, 5, 7, 11, 13):
+        field = PrimeField(p)
+        for _ in range(12):
+            bs = tuple(rng.randrange(p) for _ in range(4))
+            for n in range(-2, sum(bs) + 3):
+                block = _graded_slice(field, bs, n, 10**6)
+                want = specialize_infty(block if n % 2 == 0 else -block)
+                closed = _phi_fabc_params(p, bs, n)
+                if closed is None:
+                    assert want.is_zero, (p, bs, n)
+                else:
+                    params, unit = closed
+                    assert fabc(params).scale(unit) == want, (p, bs, n)
+                    assert not want.is_zero
 
 
 def test_specialized_value_at_one_and_profile_laws():
@@ -451,15 +577,15 @@ def test_specialized_value_at_one_and_profile_laws():
             continue
         ctx = OrbitContext(d, p, rng.choice(bases))
         sc = specialized_chain(ctx)
-        for i in range(sc.i0):
-            w = sc.chars[i]
+        for i in range(ctx.i0):
+            w = ctx.chain_chars[i]
             bs = branch_exponents(ctx.ordered_datum, p, w)
             s = sum(bs)
-            rows, cols = sc.dims[i + 1], sc.dims[i]
-            phi_like = sc.kinds[i] in ("phi", "phi_dual")
+            rows, cols = ctx.dims[i + 1], ctx.dims[i]
+            phi_like = ctx.kinds[i] in ("phi", "phi_dual")
             for j in range(1, cols + 1):
                 for jp in range(1, rows + 1):
-                    e = sc.matrices[i][jp - 1][j - 1]
+                    e = sc[i][jp - 1][j - 1]
                     if phi_like:
                         n = s - p * j + jp
                         sign = 1 if n % 2 == 0 else p - 1
@@ -484,9 +610,9 @@ def test_specialized_value_at_one_and_profile_laws():
                             assert e.valuation_at(0) == max(0, n0 + 1 - bs[0] - bs[2])
                             assert e.degree == min(bs[1], n0 + 1 - bs[0])
                     done += 1
-        if sc.dims[1] == 2 and sc.i0 >= 1 and sc.kinds[0] not in ("phi", "phi_dual"):
-            one = sc.matrices[0][0][0].evaluate(1)
-            two = sc.matrices[0][1][0].evaluate(1)
+        if ctx.dims[1] == 2 and ctx.i0 >= 1 and ctx.kinds[0] not in ("phi", "phi_dual"):
+            one = sc[0][0][0].evaluate(1)
+            two = sc[0][1][0].evaluate(1)
             assert (one + two) % p == 0
 
 
@@ -740,10 +866,3 @@ def test_witness_count_floor():
         assert ctx.i0 == 1
         assert witness_count(ctx) >= p // m - 1, (d.a, p, ctx.base)
         done += 1
-
-
-def test_layer_shape_mismatch_is_an_internal_error():
-    one = FpUniPoly.one(PrimeField(13))
-    with pytest.raises(InternalError):
-        _mat_mul_uni([[one, one]], [[one]])
-    assert _mat_mul_uni([[one, one]], [[one], [one]]) == [[one + one]]

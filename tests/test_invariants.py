@@ -55,3 +55,37 @@ def test_factor_stays_off_the_library_paths():
         or (isinstance(node, ast.alias) and node.name == "factor")
     }
     assert users <= {"ff.py"}
+
+
+def _names(tree) -> set:
+    """Every name a tree uses: bare names, attribute names and imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_strata_stays_univariate():
+    # strata reads phi entries only through the f(a,b,c) closed form and
+    # never builds a multivariate entry
+    tree = ast.parse((SRC / "strata.py").read_text())
+    assert _names(tree) & {"phi_entry", "psi_entry", "specialize_infty", "FpMultiPoly"} == set()
+
+
+def test_phi_specialized_builds_no_multivariate_entry():
+    tree = ast.parse((SRC / "hassewitt.py").read_text())
+    (fn,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "phi_specialized"
+    ]
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"phi_entry", "specialize_infty"} == set()
