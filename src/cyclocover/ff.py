@@ -33,6 +33,16 @@ from .errors import DegreeBudgetExceeded, InternalError, InvalidInput, ParamOutO
 
 DEFAULT_TERM_BUDGET = 10**7
 
+
+def check_product_budget(pairs: int, budget: int, terms: int = 0) -> None:
+    """Refuse a product touching over 4 * budget term pairs, or, once
+    formed, with over budget terms."""
+    if pairs > 4 * budget:
+        raise DegreeBudgetExceeded(f"product would touch ~{pairs} term pairs")
+    if terms > budget:
+        raise DegreeBudgetExceeded(f"product has {terms} terms (budget {budget})")
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -944,10 +954,8 @@ class FpMultiPoly:
 
     def mul(self, other: "FpMultiPoly", budget: int = DEFAULT_TERM_BUDGET) -> "FpMultiPoly":
         self._check(other)
-        if len(self.terms) * len(other.terms) > 4 * budget:
-            raise DegreeBudgetExceeded(
-                f"product would touch ~{len(self.terms) * len(other.terms)} term pairs"
-            )
+        pairs = len(self.terms) * len(other.terms)
+        check_product_budget(pairs, budget)
         p = self.field.p
         out: dict = {}
         a, b = self.terms, other.terms
@@ -957,8 +965,7 @@ class FpMultiPoly:
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        if len(out) > budget:
-            raise DegreeBudgetExceeded(f"product has {len(out)} terms (budget {budget})")
+        check_product_budget(pairs, budget, len(out))
         return FpMultiPoly(self.field, self.r, {e: c % p for e, c in out.items()})
 
     def __mul__(self, other: "FpMultiPoly") -> "FpMultiPoly":

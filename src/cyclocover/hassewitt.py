@@ -8,9 +8,10 @@ slices with the cofactor coefficients of prod_{s != k} (x - x_s).
 
 An OrbitContext walks the multiplication-by-p orbit through a chosen
 base character.  One builder (_layers) assembles its chain matrices and
-one path sum (_composite) twists and composes them: multivariate over
-all l steps for h0, which cuts out the non-ordinary locus in the
-branch-point coordinates, and univariate over the first i0 steps for h1.
+one composite (_composite) twists them and sums the products along the
+index walks: multivariate over all l steps for h0, which cuts out the
+non-ordinary locus in the branch-point coordinates, and univariate over
+the first i0 steps for h1.
 For four branch points the substitution (x_1, x_2, x_3, x_4) =
 (infinity, t, 1, 0) turns every entry into a univariate polynomial, and
 h1 gives a computable certificate of non-ordinariness.
@@ -51,6 +52,7 @@ from .ff import (
     FpUniPoly,
     PrimeField,
     binomial_mod_p,
+    check_product_budget,
     least_factor,
     _squarefree_parts,
 )
@@ -367,20 +369,33 @@ def _paths(dims):
         yield (1, *mid, 1)
 
 
-def _composite(layers, dims, one, mul):
-    """Twisted composite of the layers A_0..A_{l-1} as the path sum
+def _composite(layers, dims, one, mul, *, merge):
+    """Twisted composite of the layers A_0..A_{l-1} (dims[0] = dims[l] = 1),
 
-        sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)),
+        sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)).
 
-    each path's product taken left to right from `one` with `mul`."""
+    With merge, the walks are summed from the last layer back (tails[j]
+    sums A_i..A_{l-1} over the walks leaving index j), so layer i costs
+    dims[i] * dims[i+1] products.  Without, each walk is multiplied out
+    alone, left to right from `one` in the order of _paths, so every
+    product is one walk's prefix times one entry, as h0's refusals count."""
     l = len(layers)
-    total = None
-    for path in _paths(dims):
-        term = one
-        for i, mat in enumerate(layers):
-            term = mul(term, mat[path[i + 1] - 1][path[i] - 1].frobenius_pow(l - 1 - i))
-        total = term if total is None else total + term
-    return total
+
+    def twisted(i, k, j):
+        return layers[i][k - 1][j - 1].frobenius_pow(l - 1 - i)
+
+    if not merge:
+        def walk(J):
+            return functools.reduce(mul, (twisted(i, J[i + 1], J[i]) for i in range(l)), one)
+
+        return functools.reduce(operator.add, map(walk, _paths(dims)))
+    tails = {1: one}
+    for i in reversed(range(l)):
+        tails = {
+            j: functools.reduce(operator.add, (mul(twisted(i, k, j), t) for k, t in tails.items()))
+            for j in range(1, dims[i] + 1)
+        }
+    return tails[1]
 
 
 def _slice_size(bs, n: int) -> int:
@@ -397,10 +412,11 @@ def _slice_size(bs, n: int) -> int:
 
 def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
     """Raise, before any entry is built, the error FpMultiPoly.mul would
-    raise in the path sum of a chain whose kinds are all phi or phi_dual.
-    The counts are exact: slice coefficients are units and slice exponents
-    are below p, so twisted factors multiply without collisions.  A slice
-    over the budget is left to build_chain, which refuses it itself."""
+    raise in h0's walk-by-walk composite of a chain whose kinds are all
+    phi or phi_dual, by the same check_product_budget rule.  The counts
+    are exact: slice coefficients are units and slice exponents are below
+    p, so twisted factors multiply without collisions.  A slice over the
+    budget is left to build_chain, which refuses it itself."""
 
     def size(w, jp, j):
         bs = branch_exponents(ctx.datum, ctx.p, w)
@@ -409,14 +425,10 @@ def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
     sizes = _layers(ctx, ctx.l, size, None)
     if any(n > budget for mat in sizes for row in mat for n in row):
         return
-    for path in _paths(ctx.dims):
-        terms = 1
-        for i, mat in enumerate(sizes):
-            terms *= mat[path[i + 1] - 1][path[i] - 1]
-            if terms > 4 * budget:
-                raise DegreeBudgetExceeded(f"product would touch ~{terms} term pairs")
-            if terms > budget:
-                raise DegreeBudgetExceeded(f"product has {terms} terms (budget {budget})")
+    for J in _paths(ctx.dims):
+        walk = (mat[J[i + 1] - 1][J[i] - 1] for i, mat in enumerate(sizes))
+        for terms in itertools.accumulate(walk, operator.mul):
+            check_product_budget(terms, budget, terms)
 
 
 def h0(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpMultiPoly:
@@ -434,6 +446,7 @@ def h0(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpMultiPoly:
         ctx.dims,
         FpMultiPoly.constant(ctx.field, ctx.datum.r, 1),
         lambda a, b: a.mul(b, budget),
+        merge=False,
     )
 
 
@@ -530,9 +543,8 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
         dmax = max((e.degree or 0) for row in mat for e in row)
         est += dmax * (ctx.p ** (ctx.i0 - 1 - i))
     _check_composite_degree(est, budget)
-    return _composite(
-        layers, ctx.dims[: ctx.i0 + 1], FpUniPoly.one(ctx.field), operator.mul
-    )
+    one = FpUniPoly.one(ctx.field)
+    return _composite(layers, ctx.dims[: ctx.i0 + 1], one, operator.mul, merge=True)
 
 
 def _check_composite_degree(est: int, budget: int) -> None:
@@ -577,47 +589,29 @@ def h1_profile(ctx: OrbitContext) -> H1Profile:
     """Valuation at 0, degree, and value at 1 of h1, computed layer by
     layer: values at 1 are Frobenius-fixed so they compose as a plain
     matrix product, and for p > 3m the per-entry valuations and degrees
-    sit below p, making the path sums base-p digits that cannot collide
+    sit below p, making the walk sums base-p digits that cannot collide
     or cancel."""
-    if ctx.p <= 3 * ctx.datum.m:
+    p = ctx.p
+    if p <= 3 * ctx.datum.m:
         raise HypothesisNotMet(
-            f"profile extraction needs p > 3m (p = {ctx.p}, m = {ctx.datum.m})"
+            f"profile extraction needs p > 3m (p = {p}, m = {ctx.datum.m})"
         )
     layers = specialized_chain(ctx)
-    p = ctx.p
-    vmin = {1: 0}
-    dmax = {1: 0}
-    vals = {1: 1}
+    for entry in (e for mat in layers for row in mat for e in row):
+        if entry.is_zero:
+            raise HypothesisNotMet("vanishing chain entry; profile laws do not apply")
+        ev, ed = entry.valuation_at(0), entry.degree
+        if not (ev < p and ed < p):
+            raise InternalError(
+                f"chain entry of degree {ed} (valuation {ev}) reaches p = {p}"
+            )
+    vmin, dmax, vals = [0], [0], [1]  # indexed by J(i) - 1
     for i, mat in enumerate(layers):
-        weight = p ** (ctx.i0 - 1 - i)
-        rows, cols = len(mat), len(mat[0])
-        nvmin: dict = {}
-        ndmax: dict = {}
-        nvals: dict = {}
-        for jp in range(1, rows + 1):
-            acc_val = 0
-            for j in range(1, cols + 1):
-                entry = mat[jp - 1][j - 1]
-                if entry.is_zero:
-                    raise HypothesisNotMet(
-                        "vanishing chain entry; profile laws do not apply"
-                    )
-                ev = entry.valuation_at(0)
-                ed = entry.degree
-                if not (ev < p and ed < p):
-                    raise InternalError(
-                        f"chain entry of degree {ed} (valuation {ev}) reaches p = {p}"
-                    )
-                cand_v = vmin[j] + weight * ev
-                cand_d = dmax[j] + weight * ed
-                if jp not in nvmin or cand_v < nvmin[jp]:
-                    nvmin[jp] = cand_v
-                if jp not in ndmax or cand_d > ndmax[jp]:
-                    ndmax[jp] = cand_d
-                acc_val = (acc_val + entry.evaluate(1) * vals[j]) % p
-            nvals[jp] = acc_val
-        vmin, dmax, vals = nvmin, ndmax, nvals
-    return H1Profile(v_t=vmin[1], degree=dmax[1], value_at_one=vals[1])
+        w = p ** (ctx.i0 - 1 - i)
+        vmin = [min(vmin[j] + w * e.valuation_at(0) for j, e in enumerate(row)) for row in mat]
+        dmax = [max(dmax[j] + w * e.degree for j, e in enumerate(row)) for row in mat]
+        vals = [sum(vals[j] * e.evaluate(1) for j, e in enumerate(row)) % p for row in mat]
+    return H1Profile(v_t=vmin[0], degree=dmax[0], value_at_one=vals[0])
 
 
 def divisor_multiplicity(
