@@ -16,7 +16,6 @@ from cyclocover.monodromy import (
     genus,
     parse_datum,
     signature,
-    validate,
 )
 
 # the degree-7 family with four branch points that most demos revisit
@@ -25,9 +24,9 @@ print("datum:", d7.to_text())
 print("genus:", genus(d7))
 print("signature f(0..m-1):", signature(d7))
 
-# validate() checks the arithmetic constraints (labels nonzero mod m,
-# summing to zero, generating the full group)
-d5 = validate(5, 4, (1, 1, 1, 2))
+# the constructor checks the arithmetic constraints (labels nonzero mod
+# m, summing to zero, generating the full group)
+d5 = MonodromyDatum(5, 4, (1, 1, 1, 2))
 print("\ndegree-5 companion:", d5.to_text(), "genus", genus(d5))
 
 # the text form round-trips

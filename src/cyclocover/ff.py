@@ -43,6 +43,12 @@ def check_product_budget(pairs: int, budget: int, terms: int = 0) -> None:
         raise DegreeBudgetExceeded(f"product has {terms} terms (budget {budget})")
 
 
+def check_shift_budget(terms: int, budget: int) -> None:
+    """Refuse a substitute_shift that writes over 8 * budget terms."""
+    if terms > 8 * budget:
+        raise DegreeBudgetExceeded("substitution exceeded the term budget")
+
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -1003,8 +1009,7 @@ class FpMultiPoly:
                 key = tuple(e)
                 out[key] = (out.get(key, 0) + c * b) % p
                 count += 1
-                if count > 8 * budget:
-                    raise DegreeBudgetExceeded("substitution exceeded the term budget")
+                check_shift_budget(count, budget)
         return FpMultiPoly(self.field, self.r, out)
 
     def substitute_values(self, assignments: dict) -> "FpMultiPoly":

@@ -53,6 +53,7 @@ from .ff import (
     PrimeField,
     binomial_mod_p,
     check_product_budget,
+    check_shift_budget,
     least_factor,
     _squarefree_parts,
 )
@@ -91,6 +92,12 @@ def first_covering_index(bs, n: int) -> int:
     raise InternalError(f"no covering index although sum(bs) > {n}")
 
 
+def _check_slice_terms(terms: int, budget: int) -> None:
+    """Refuse a nonzero graded slice of over budget terms."""
+    if terms > max(budget, 0):
+        raise DegreeBudgetExceeded(f"graded slice exceeds {budget} terms")
+
+
 def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
     """Degree-n slice of prod_k (1 + x_k)^{b_k} as a multivariate polynomial.
 
@@ -109,10 +116,7 @@ def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
     def walk(k: int, rem: int, coef: int) -> None:
         if k == r:
             terms[tuple(exps)] = coef
-            if len(terms) > budget:
-                raise DegreeBudgetExceeded(
-                    f"graded slice exceeds {budget} terms"
-                )
+            _check_slice_terms(len(terms), budget)
             return
         lo = max(0, rem - suffix[k + 1])
         hi = min(bs[k], rem)
@@ -398,16 +402,63 @@ def _composite(layers, dims, one, mul, *, merge):
     return tails[1]
 
 
-def _slice_size(bs, n: int) -> int:
-    """Number of terms of the degree-n graded slice: the compositions of
-    n with parts 0 <= e_k <= b_k, counted by prefix sums."""
+def _slice_counts(bs, n: int, k: int = 0) -> tuple:
+    """(terms, shifted) of the degree-n graded slice.  terms counts its
+    monomials, the compositions of n with parts 0 <= e_s <= b_s; shifted
+    sums e_k + 1 over them, the terms substitute_shift writes when it
+    expands x_k (each C(e_k, i) with i <= e_k < p is a unit).  Both come
+    from prefix-sum counts of the other parts, grouped by e_k."""
     if n < 0:
-        return 0
+        return 0, 0
     ways = [1] + [0] * n
-    for b in bs:
+    for b in bs[:k] + bs[k + 1:]:
         acc = list(itertools.accumulate(ways))
         ways = [v - (acc[s - b - 1] if s > b else 0) for s, v in enumerate(acc)]
-    return ways[n]
+    by_e = [ways[n - e] for e in range(min(bs[k], n) + 1)]
+    return sum(by_e), sum((e + 1) * c for e, c in enumerate(by_e))
+
+
+def _slice_multiplicity(p: int, bs, n: int, j1: int, j2: int, budget: int) -> int:
+    """Multiplicity of (x_{j1} - x_{j2}) in the degree-n graded slice of
+    prod_k (1 + x_k)^{b_k}, every b_k < p, read off the exponents: the
+    value, or the error, of
+
+        divisor_multiplicity(_graded_slice(field, bs, n, budget), j1, j2, budget)
+
+    with its checks in the same order, and no slice or shift built.
+
+    Proof.  Write alpha = b_{j1}, beta = b_{j2}, B' for the sum of the
+    other b_k, and y for the shifted x_{j2}.  The slice is
+    [s^n] prod_k (1 + s x_k)^{b_k}, and x_{j2} -> x_{j1} + y turns it into
+
+        sum_{i=0}^{beta} C(beta, i) y^i [s^{n-i}] (1 + s x_{j1})^{N_i}
+                                       prod_{k != j1, j2} (1 + s x_k)^{b_k}
+
+    with N_i = alpha + beta - i.  Each C(beta, i) is a unit and no two
+    monomials collide, within one power of y or across them; the
+    monomial x_{j1}^e prod x_k^{e_k} carries C(N_i, e) prod C(b_k, e_k),
+    and the C(b_k, e_k) are units.  So y^i survives iff some e in
+    [n - i - B', n - i] with 0 <= e <= N_i has C(N_i, e) != 0 mod p.
+    As N_i < 2p, Lucas's theorem makes those e every e <= N_i when
+    N_i < p, and e in [0, N_i - p] or [p, N_i] otherwise.  The
+    multiplicity is the least surviving i, and none survives exactly
+    when the slice is zero."""
+    r = len(bs)
+    # the term count does not depend on the slot grouped by
+    terms, shifted = _slice_counts(bs, n, j2 - 1 if 1 <= j2 <= r else 0)
+    if not terms:
+        raise InvalidInput("multiplicity in the zero polynomial")
+    _check_slice_terms(terms, budget)
+    _check_labels(r, j1, j2)
+    check_shift_budget(shifted, budget)
+    alpha, beta = bs[j1 - 1], bs[j2 - 1]
+    rest = sum(bs) - alpha - beta
+    for i in range(beta + 1):
+        big_n = alpha + beta - i
+        lo, hi = max(0, n - i - rest), min(big_n, n - i)
+        if lo <= hi and (big_n < p or lo <= big_n - p or hi >= p):
+            return i
+    raise InternalError(f"nonzero slice {bs} at degree {n} with no surviving shift")
 
 
 def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
@@ -420,7 +471,7 @@ def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
 
     def size(w, jp, j):
         bs = branch_exponents(ctx.datum, ctx.p, w)
-        return _slice_size(bs, sum(bs) - (ctx.p * j - jp))
+        return _slice_counts(bs, sum(bs) - (ctx.p * j - jp))[0]
 
     sizes = _layers(ctx, ctx.l, size, None)
     if any(n > budget for mat in sizes for row in mat for n in row):
@@ -614,6 +665,11 @@ def h1_profile(ctx: OrbitContext) -> H1Profile:
     return H1Profile(v_t=vmin[0], degree=dmax[0], value_at_one=vals[0])
 
 
+def _check_labels(r: int, j1: int, j2: int) -> None:
+    if not (1 <= j1 <= r and 1 <= j2 <= r) or j1 == j2:
+        raise IndexOutOfRange(f"need two distinct labels in 1..{r}")
+
+
 def divisor_multiplicity(
     h: FpMultiPoly, j1: int, j2: int, budget: int = DEFAULT_TERM_BUDGET
 ) -> int:
@@ -622,8 +678,7 @@ def divisor_multiplicity(
     substitution x_{j2} -> x_{j1} + x_{j2}."""
     if h.is_zero:
         raise InvalidInput("multiplicity in the zero polynomial")
-    if not (1 <= j1 <= h.r and 1 <= j2 <= h.r) or j1 == j2:
-        raise IndexOutOfRange(f"need two distinct labels in 1..{h.r}")
+    _check_labels(h.r, j1, j2)
     shifted = h.substitute_shift(j2 - 1, j1 - 1, budget)
     return shifted.min_exponent(j2 - 1)
 
@@ -636,25 +691,36 @@ def h0_divisor_multiplicity(
     When every chain layer is 1x1 the composite is a plain product of
     entries raised to p-powers (over F_p the exponent twist e -> p*e is
     the p-th power map on polynomials), so the valuation splits as
-    sum_i p^{l-1-i} * v(entry_i) without expanding the product.  Chains
-    with wider layers fall back to expanding h0."""
-    if all(d == 1 for d in ctx.dims):
-        layers = build_chain(ctx, budget)
-        return sum(
-            (ctx.p ** (ctx.l - 1 - i))
-            * divisor_multiplicity(layers[i][0][0], j1, j2, budget)
-            for i in range(ctx.l)
-        )
-    return divisor_multiplicity(h0(ctx, budget), j1, j2, budget)
+    sum_i p^{l-1-i} * v(entry_i) without expanding the product.  A phi
+    or phi_dual entry's valuation is read off its branch exponents
+    (_slice_multiplicity), so no chain and no slice is built; a psi entry
+    is built and shifted.  Every step's slice size is checked, and every
+    psi entry built, before any valuation is taken, so each refusal is
+    the one that building the chain and then shifting its entries gives.
+    Chains with wider layers fall back to expanding h0."""
+    if not all(d == 1 for d in ctx.dims):
+        return divisor_multiplicity(h0(ctx, budget), j1, j2, budget)
+    p = ctx.p
+
+    def phi(w, jp, j):
+        bs = branch_exponents(ctx.datum, p, w)
+        n = sum(bs) - (p * j - jp)
+        _check_slice_terms(_slice_counts(bs, n)[0], budget)
+        return functools.partial(_slice_multiplicity, p, bs, n)
+
+    def psi(w, jp, j):
+        entry = psi_entry(ctx.datum, p, w, jp, j, budget)
+        return functools.partial(divisor_multiplicity, entry)
+
+    layers = _layers(ctx, ctx.l, phi, psi)
+    return sum(p ** (ctx.l - 1 - i) * mat[0][0](j1, j2, budget) for i, mat in enumerate(layers))
 
 
 def divisor_bound(ctx: OrbitContext, j1: int, j2: int) -> int:
     """Upper bound sum_i p^{l-1-i} * max(0, b_{j1} + b_{j2} - (p - 3)) for
     the multiplicity of (x_{j1} - x_{j2}) in h0, with the branch exponents
     taken at each step's chain character."""
-    r = ctx.datum.r
-    if not (1 <= j1 <= r and 1 <= j2 <= r) or j1 == j2:
-        raise IndexOutOfRange(f"need two distinct labels in 1..{r}")
+    _check_labels(ctx.datum.r, j1, j2)
     total = 0
     for i in range(ctx.l):
         bs = branch_exponents(ctx.datum, ctx.p, ctx.chain_chars[i])

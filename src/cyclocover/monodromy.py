@@ -55,10 +55,6 @@ class MonodromyDatum:
         return {"m": self.m, "r": self.r, "a": list(self.a)}
 
 
-def validate(m: int, r: int, a) -> MonodromyDatum:
-    return MonodromyDatum(m, r, tuple(a))
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -77,7 +73,7 @@ def _datum_from_json(text: str) -> MonodromyDatum:
         raise InvalidInput(f"datum m and r must be integers: got {text!r}")
     if not (isinstance(a, list) and all(_is_int(x) for x in a)):
         raise InvalidInput(f"datum labels a must be a list of integers: got {text!r}")
-    return validate(m, r, a)
+    return MonodromyDatum(m, r, tuple(a))
 
 
 def parse_datum(text: str) -> MonodromyDatum:
@@ -91,10 +87,10 @@ def parse_datum(text: str) -> MonodromyDatum:
     try:
         m = int(parts[0])
         r = int(parts[1])
-        a = [int(x) for x in parts[2].split(",")]
+        a = tuple(int(x) for x in parts[2].split(","))
     except ValueError as e:
         raise InvalidInput(f"bad datum literal {text!r}") from e
-    return validate(m, r, a)
+    return MonodromyDatum(m, r, a)
 
 
 def canonicalize(d: MonodromyDatum) -> MonodromyDatum:
@@ -180,12 +176,12 @@ def quotient_datum(d: MonodromyDatum, m1: int) -> MonodromyDatum:
     mod m1 and drop the ones that die."""
     if m1 < 2 or d.m % m1 != 0:
         raise ParamOutOfRange(f"m1={m1} must be a divisor >= 2 of m={d.m}")
-    labels = [ak % m1 for ak in d.a if ak % m1 != 0]
+    labels = tuple(ak % m1 for ak in d.a if ak % m1 != 0)
     if len(labels) < 3:
         raise QuotientDegenerate(
             f"only {len(labels)} labels survive reduction mod {m1}"
         )
-    return validate(m1, len(labels), labels)
+    return MonodromyDatum(m1, len(labels), labels)
 
 
 def find_tau_signature_one(d: MonodromyDatum, sig: Optional[tuple] = None) -> Optional[int]:
@@ -231,4 +227,4 @@ def clutch(d1: MonodromyDatum, d2: MonodromyDatum) -> tuple:
         )
     a3 = d1.a[:-1] + d2.a[1:]
     eps = math.gcd(d1.a[-1], d1.m) - 1
-    return validate(d1.m, d1.r + d2.r - 2, a3), eps
+    return MonodromyDatum(d1.m, d1.r + d2.r - 2, a3), eps

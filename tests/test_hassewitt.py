@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclocover import hassewitt
 from cyclocover.errors import (
+    CyclocoverError,
     DegreeBudgetExceeded,
     HypothesisNotMet,
     IndexOutOfRange,
@@ -42,6 +44,7 @@ from cyclocover.hassewitt import (
     _graded_slice,
     _phi_fabc_params,
     _qhat,
+    _slice_multiplicity,
     _strip_01,
 )
 from cyclocover.monodromy import MonodromyDatum, signature
@@ -818,6 +821,179 @@ def test_h0_multiplicity_product_split_agrees_with_expansion():
             assert h0_divisor_multiplicity(ctx, j1, j2) == divisor_multiplicity(
                 H, j1, j2
             )
+
+
+def _outcome_text(compute):
+    try:
+        return str(compute())
+    except CyclocoverError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _multiplicity_of_built_entries(ctx, j1, j2, budget):
+    """h0's multiplicity on an all-1x1 chain from the built chain: every
+    entry is built, then each is shifted, one layer after the other."""
+    layers = build_chain(ctx, budget)
+    return sum(
+        ctx.p ** (ctx.l - 1 - i) * divisor_multiplicity(mat[0][0], j1, j2, budget)
+        for i, mat in enumerate(layers)
+    )
+
+
+def _criterion_10_chains():
+    """The l <= 2 chains of four-point M5 and M7 data at p <= 23, in the
+    order test_criterion_10_divisor_bound_sweep visits them; every one
+    is all-1x1 and all-phi."""
+    for m in (5, 7):
+        for a in itertools.product(range(1, m), repeat=4):
+            if sum(a) % m:
+                continue
+            d = MonodromyDatum(m, 4, a)
+            sig = signature(d)
+            for p in (3, 5, 7, 11, 13, 17, 19, 23):
+                if p == m:
+                    continue
+                for base in range(1, m):
+                    if math.gcd(base, m) != 1 or sig[m - base] != 1:
+                        continue
+                    ctx = OrbitContext(d, p, base)
+                    if ctx.l <= 2:
+                        yield ctx
+
+
+# sha256 of every outcome (value, or error class and message) of
+# h0_divisor_multiplicity over _criterion_10_chains, the twelve ordered
+# label pairs and three invalid ones, at five budgets; recorded while the
+# multiplicity was still taken from the built and shifted entries
+H0_MULTIPLICITY_SHA256 = "e61f591fc945c1d6eaa1bc3a5829015b8f5adfb06a3c7dfb086dff5a2e7c8ee7"
+
+
+def test_h0_divisor_multiplicity_golden_digest():
+    labels = [(j1, j2) for j1 in range(1, 5) for j2 in range(1, 5) if j1 != j2]
+    labels += [(1, 1), (0, 2), (1, 5)]
+    digest = hashlib.sha256()
+    for ctx in _criterion_10_chains():
+        for (j1, j2), budget in itertools.product(labels, (1, 10, 100, 1000, None)):
+            kwargs = {} if budget is None else {"budget": budget}
+            outcome = _outcome_text(lambda: h0_divisor_multiplicity(ctx, j1, j2, **kwargs))
+            digest.update(f"{outcome}\n".encode())
+    assert digest.hexdigest() == H0_MULTIPLICITY_SHA256
+
+
+# (p, bs, n, j1, j2, budget), one per outcome the closed form must match
+SLICE_EXAMPLES = (
+    (37, (32, 0, 0), 32, 2, 1, 4),  # the shift writes 33 = 8 * 4 + 1 terms
+    (5, (4, 3, 2), 3, 1, 2, 2),
+    (5, (4, 3, 2), 12, 1, 2, 100),
+    (5, (3, 3, 0), 3, 1, 2, 100),
+)
+
+
+def test_slice_examples_reach_every_outcome():
+    assert [_outcome_text(lambda: _slice_multiplicity(*case)) for case in SLICE_EXAMPLES] == [
+        "DegreeBudgetExceeded: substitution exceeded the term budget",
+        "DegreeBudgetExceeded: graded slice exceeds 2 terms",
+        "InvalidInput: multiplicity in the zero polynomial",
+        "2",  # alpha + beta = 6 >= p: Lucas zeros decide
+    ]
+
+
+@st.composite
+def _slice_cases(draw):
+    p = draw(st.sampled_from(_primes_in(3, 38)))
+    r = draw(st.integers(3, 5))
+    bs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)))
+    n = draw(st.integers(-1, sum(bs) + 1))
+    label = st.integers(1, r) | st.sampled_from((0, r + 1))
+    budget = draw(st.integers(-1, 3000))
+    return p, bs, n, draw(label), draw(label), budget
+
+
+@given(_slice_cases())
+@example(SLICE_EXAMPLES[0])
+@example(SLICE_EXAMPLES[1])
+@example(SLICE_EXAMPLES[2])
+@example(SLICE_EXAMPLES[3])
+@settings(max_examples=300, deadline=None)
+def test_slice_multiplicity_matches_the_shifted_slice(case):
+    p, bs, n, j1, j2, budget = case
+    want = _outcome_text(lambda: divisor_multiplicity(
+        _graded_slice(PrimeField(p), bs, n, budget), j1, j2, budget
+    ))
+    assert _outcome_text(lambda: _slice_multiplicity(*case)) == want
+
+
+def test_one_by_one_phi_multiplicities_build_nothing(monkeypatch):
+    chains = list(itertools.islice(_criterion_10_chains(), 0, None, 40))
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    want = [
+        _multiplicity_of_built_entries(ctx, j1, j2, 10**7) for ctx in chains for j1, j2 in pairs
+    ]
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built a chain entry, a slice or a shift")
+
+    for name in ("_graded_slice", "phi_entry", "build_chain", "binomial_mod_p"):
+        monkeypatch.setattr(hassewitt, name, unexpected)
+    monkeypatch.setattr(FpMultiPoly, "substitute_shift", unexpected)
+    assert [h0_divisor_multiplicity(ctx, j1, j2) for ctx in chains for j1, j2 in pairs] == want
+
+
+def test_h0_multiplicity_on_1x1_chains_matches_the_built_entries():
+    # psi steps are built and shifted, phi steps read off the exponents;
+    # (8, 3, (1, 3, 4)) at p = 13 reaches the substitution refusal of a
+    # psi entry
+    cases = [
+        ((5, 3, (1, 1, 3)), 3, 1),
+        ((5, 3, (1, 2, 2)), 7, 1),
+        ((3, 3, (1, 1, 1)), 5, 1),
+        ((4, 3, (1, 1, 2)), 7, 1),
+        ((8, 3, (1, 3, 4)), 13, 1),
+    ]
+    outcomes = set()
+    for (m, r, a), p, base in cases:
+        ctx = OrbitContext(MonodromyDatum(m, r, a), p, base)
+        assert set(ctx.dims) == {1} and {"psi", "psi_dual"} <= set(ctx.kinds)
+        for budget in (1, 10, 60, 1000):
+            for j1, j2 in [(1, 2), (2, 1), (1, 3), (3, 2), (1, 1), (0, 2)]:
+                want = _outcome_text(lambda: _multiplicity_of_built_entries(ctx, j1, j2, budget))
+                assert _outcome_text(lambda: h0_divisor_multiplicity(ctx, j1, j2, budget)) == want
+                outcomes.add(want.split(" ")[1] if ":" in want else "value")
+    assert outcomes == {"value", "need", "graded", "substitution"}
+    # all phi, slices of 428 and 492 terms: the second step's refusal
+    # comes before the first step's label check
+    ctx = OrbitContext(D5, 19, 2)
+    want = "DegreeBudgetExceeded: graded slice exceeds 428 terms"
+    assert _outcome_text(lambda: _multiplicity_of_built_entries(ctx, 1, 1, 428)) == want
+    assert _outcome_text(lambda: h0_divisor_multiplicity(ctx, 1, 1, 428)) == want
+
+
+def test_divisor_bound_at_larger_primes():
+    # a seeded sample of the l <= 2 M5/M7 chains at primes 29..199
+    rng = random.Random(29199)
+    data = [
+        MonodromyDatum(m, 4, a)
+        for m in (5, 7)
+        for a in itertools.product(range(1, m), repeat=4)
+        if sum(a) % m == 0
+    ]
+    primes = _primes_in(29, 200)
+    checked = met = 0
+    while checked < 6000:
+        d = rng.choice(data)
+        sig = signature(d)
+        bases = [b for b in range(1, d.m) if sig[d.m - b] == 1]
+        if not bases:
+            continue
+        ctx = OrbitContext(d, rng.choice(primes), rng.choice(bases))
+        if ctx.l > 2:
+            continue
+        for j1, j2 in itertools.combinations(range(1, 5), 2):
+            got, bound = h0_divisor_multiplicity(ctx, j1, j2), divisor_bound(ctx, j1, j2)
+            assert got <= bound, (d.a, ctx.p, ctx.base, j1, j2, got, bound)
+            met += got == bound
+            checked += 1
+    assert met > 0
 
 
 def test_witness_golden_p13():

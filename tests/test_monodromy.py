@@ -27,7 +27,6 @@ from cyclocover.monodromy import (
     parse_datum,
     quotient_datum,
     signature,
-    validate,
 )
 
 from oracles import FROZEN
@@ -42,29 +41,29 @@ def valid_data(draw, max_m=40, max_r=8):
     assume(last != 0)
     a = head + [last]
     assume(math.gcd(m, *a) == 1)
-    return validate(m, r, a)
+    return MonodromyDatum(m, r, tuple(a))
 
 
 def test_validate_examples():
-    d = validate(7, 4, (3, 1, 1, 2))
+    d = MonodromyDatum(7, 4, (3, 1, 1, 2))
     assert d.a == (3, 1, 1, 2)
     with pytest.raises(SumNonzero):
-        validate(7, 4, (3, 1, 1, 3))
+        MonodromyDatum(7, 4, (3, 1, 1, 3))
     with pytest.raises(NotGenerating):
-        validate(6, 3, (2, 2, 2))
+        MonodromyDatum(6, 3, (2, 2, 2))
     with pytest.raises(ZeroLabel):
-        validate(7, 4, (7, 1, 1, 5))
+        MonodromyDatum(7, 4, (7, 1, 1, 5))
     with pytest.raises(ZeroLabel):
-        validate(7, 4, (0, 1, 1, 5))
+        MonodromyDatum(7, 4, (0, 1, 1, 5))
     with pytest.raises(ParamOutOfRange):
-        validate(1, 3, (0, 0, 0))
+        MonodromyDatum(1, 3, (0, 0, 0))
     with pytest.raises(InvalidInput):
-        validate(7, 4, (3, 1, 3))
+        MonodromyDatum(7, 4, (3, 1, 3))
 
 
 def test_parse_and_serialize():
     d = parse_datum("7:4:3,1,1,2")
-    assert d == validate(7, 4, (3, 1, 1, 2))
+    assert d == MonodromyDatum(7, 4, (3, 1, 1, 2))
     assert d.to_text() == "7:4:3,1,1,2"
     assert d.to_json() == {"m": 7, "r": 4, "a": [3, 1, 1, 2]}
     assert parse_datum('{"m": 7, "r": 4, "a": [3, 1, 1, 2]}') == d
@@ -75,10 +74,10 @@ def test_parse_and_serialize():
 
 
 def test_canonicalize_known_pairs():
-    assert equivalent(validate(7, 4, (3, 2, 1, 1)), validate(7, 4, (1, 1, 2, 3)))
+    assert equivalent(MonodromyDatum(7, 4, (3, 2, 1, 1)), MonodromyDatum(7, 4, (1, 1, 2, 3)))
     # unit 2 sends (1,6,3,4) to (2,5,6,1)
-    assert equivalent(validate(7, 4, (1, 6, 3, 4)), validate(7, 4, (2, 5, 6, 1)))
-    got = canonicalize(validate(5, 4, (1, 1, 1, 2)))
+    assert equivalent(MonodromyDatum(7, 4, (1, 6, 3, 4)), MonodromyDatum(7, 4, (2, 5, 6, 1)))
+    got = canonicalize(MonodromyDatum(5, 4, (1, 1, 1, 2)))
     assert got.a == FROZEN["canon_5_4_1112"]
 
 
@@ -93,17 +92,17 @@ def test_canonicalize_exhaustive_small():
             a = head + (last,)
             if math.gcd(m, *a) != 1:
                 continue
-            d = validate(m, 4, a)
+            d = MonodromyDatum(m, 4, a)
             c = canonicalize(d)
             assert canonicalize(c) == c
             for u in units:
                 moved = sorted(u * x % m for x in a)
                 random.Random(u).shuffle(moved)
-                assert canonicalize(validate(m, 4, moved)) == c
+                assert canonicalize(MonodromyDatum(m, 4, tuple(moved))) == c
 
 
 def test_signature_known():
-    f = signature(validate(7, 4, (3, 1, 1, 2)))
+    f = signature(MonodromyDatum(7, 4, (3, 1, 1, 2)))
     assert f[0] == 0
     assert f[1:] == (0, 1, 1, 1, 1, 2)  # the i = 1..6 slice
 
@@ -124,9 +123,9 @@ def test_genus_equals_signature_sum(d):
 
 
 def test_genus_known():
-    assert genus(validate(7, 4, (3, 1, 1, 2))) == 6
+    assert genus(MonodromyDatum(7, 4, (3, 1, 1, 2))) == 6
     for m in (5, 7, 11, 13):
-        assert genus(validate(m, 3, (1, 1, m - 2))) == (m - 1) // 2
+        assert genus(MonodromyDatum(m, 3, (1, 1, m - 2))) == (m - 1) // 2
 
 
 def test_frobenius_orbits_m7():
@@ -168,23 +167,23 @@ def test_orbit_g_constant(d):
 
 
 def test_quotient_datum():
-    got = quotient_datum(validate(6, 4, (1, 1, 1, 3)), 3)
-    assert got == validate(3, 3, (1, 1, 1))
-    d = validate(7, 4, (3, 1, 1, 2))
+    got = quotient_datum(MonodromyDatum(6, 4, (1, 1, 1, 3)), 3)
+    assert got == MonodromyDatum(3, 3, (1, 1, 1))
+    d = MonodromyDatum(7, 4, (3, 1, 1, 2))
     assert quotient_datum(d, 7) == d
     m15, r15, a15 = FROZEN["quotient_15_to_5"]
-    assert quotient_datum(validate(15, 4, (3, 5, 6, 1)), 5) == validate(m15, r15, a15)
+    assert quotient_datum(MonodromyDatum(15, 4, (3, 5, 6, 1)), 5) == MonodromyDatum(m15, r15, a15)
     with pytest.raises(QuotientDegenerate):
-        quotient_datum(validate(6, 4, (2, 3, 4, 3)), 2)
+        quotient_datum(MonodromyDatum(6, 4, (2, 3, 4, 3)), 2)
     with pytest.raises(ParamOutOfRange):
         quotient_datum(d, 3)
 
 
 def test_find_tau_signature_one():
-    d = validate(7, 4, (3, 1, 1, 2))
+    d = MonodromyDatum(7, 4, (3, 1, 1, 2))
     assert find_tau_signature_one(d) == 2
     # genus-1 style datum: every g(tau) <= 1 so nothing qualifies
-    d2 = validate(3, 3, (1, 1, 1))
+    d2 = MonodromyDatum(3, 3, (1, 1, 1))
     assert find_tau_signature_one(d2) is None
 
 
@@ -203,23 +202,23 @@ def test_find_tau_constructive(d):
 
 
 def test_hypothesis_cases():
-    assert hypothesis_cases(validate(7, 4, (3, 1, 1, 2))) == {1, 2}
-    assert 2 in hypothesis_cases(validate(7, 6, (1, 1, 1, 1, 1, 2)))
-    assert 3 not in hypothesis_cases(validate(9, 6, (3, 3, 3, 1, 1, 7)))
+    assert hypothesis_cases(MonodromyDatum(7, 4, (3, 1, 1, 2))) == {1, 2}
+    assert 2 in hypothesis_cases(MonodromyDatum(7, 6, (1, 1, 1, 1, 1, 2)))
+    assert 3 not in hypothesis_cases(MonodromyDatum(9, 6, (3, 3, 3, 1, 1, 7)))
     # 6 labels, exactly 2 divisible by 3 = r-4
-    assert 3 in hypothesis_cases(validate(9, 6, (3, 3, 1, 1, 2, 8)))
+    assert 3 in hypothesis_cases(MonodromyDatum(9, 6, (3, 3, 1, 1, 2, 8)))
 
 
 def test_clutch():
-    d1 = validate(7, 4, (3, 1, 1, 2))
-    d2 = validate(7, 4, (5, 1, 3, 5))
+    d1 = MonodromyDatum(7, 4, (3, 1, 1, 2))
+    d2 = MonodromyDatum(7, 4, (5, 1, 3, 5))
     d3, eps = clutch(d1, d2)
     m3, r3, a3, eps3 = FROZEN["clutch_7"]
     assert (d3.m, d3.r, d3.a, eps) == (m3, r3, tuple(a3), eps3)
     with pytest.raises(NotAdmissible):
-        clutch(d1, validate(7, 4, (3, 1, 1, 2)))
-    d4 = validate(6, 4, (1, 1, 1, 3))
-    d5 = validate(6, 4, (3, 1, 1, 1))
+        clutch(d1, MonodromyDatum(7, 4, (3, 1, 1, 2)))
+    d4 = MonodromyDatum(6, 4, (1, 1, 1, 3))
+    d5 = MonodromyDatum(6, 4, (3, 1, 1, 1))
     _, eps45 = clutch(d4, d5)
     assert eps45 == 2
     with pytest.raises(NotAdmissible):
