@@ -854,31 +854,6 @@ def eval_in_ext(f: FpUniPoly, alpha: ExtFieldElem) -> ExtFieldElem:
     return acc
 
 
-def ext_roots(f: FpUniPoly, dmax: int, seed: int) -> list:
-    """One representative root per irreducible factor of degree <= dmax.
-
-    Each factor g of degree d is used as the modulus of F_{p^d}, so the
-    class of t is an exact root; returns [(ExtFieldElem, d)], sorted by
-    (d, factor coefficients)."""
-    if f.is_zero:
-        raise InvalidInput("root search on the zero polynomial")
-    if dmax < 1:
-        raise ParamOutOfRange("dmax must be >= 1")
-    rng = random.Random(seed)
-    irreducibles = []
-    for part in _squarefree_parts(f.monic()):
-        for prod, d in _distinct_degree(part):
-            if d > dmax:
-                break
-            irreducibles.extend(_equal_degree_split(prod, d, rng))
-    irreducibles.sort(key=lambda g: (g.degree, g.coeffs))
-    out = []
-    for g in irreducibles:
-        ext = ExtField(f.field, g, check=False)
-        out.append((ext.generator(), g.degree))
-    return out
-
-
 class FpMultiPoly:
     """Sparse multivariate polynomial over F_p in r variables.
 

@@ -55,6 +55,7 @@ from .ff import (
     check_product_budget,
     check_shift_budget,
     least_factor,
+    poly_powmod,
     _squarefree_parts,
 )
 from .monodromy import MonodromyDatum, frobenius_orbits, signature
@@ -588,14 +589,22 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
     a 1x1 matrix read off as a polynomial in t.  It divides the full
     specialized composite, so any root off {0, 1} certifies a
     non-ordinary member of the family."""
+    layers = _budgeted_chain(ctx, budget)
+    one = FpUniPoly.one(ctx.field)
+    return _composite(layers, ctx.dims[: ctx.i0 + 1], one, operator.mul, merge=True)
+
+
+def _budgeted_chain(ctx: OrbitContext, budget: int) -> tuple:
+    """specialized_chain, refused when the composite's degree estimate
+    sum_i p^(i0-1-i) * (largest entry degree of layer i) reaches the
+    budget."""
     layers = specialized_chain(ctx)
     est = 0
     for i, mat in enumerate(layers):
         dmax = max((e.degree or 0) for row in mat for e in row)
         est += dmax * (ctx.p ** (ctx.i0 - 1 - i))
     _check_composite_degree(est, budget)
-    one = FpUniPoly.one(ctx.field)
-    return _composite(layers, ctx.dims[: ctx.i0 + 1], one, operator.mul, merge=True)
+    return layers
 
 
 def _check_composite_degree(est: int, budget: int) -> None:
@@ -757,21 +766,124 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
         induction every derivative of g vanishes at z.  As
         deg g <= a' < p, every k! up to deg g is a unit, so Taylor
         expansion at z forces g = 0.  But g has a unit coefficient.
-    So g is squarefree and is its own radical away from 0 and 1.  Every
-    other chain shape builds h1, strips t and t - 1, and multiplies the
-    parts of a squarefree decomposition."""
+    So g is squarefree and is its own radical away from 0 and 1.
+
+    Every other chain shape takes the radical from the chain's last
+    layer, with no gcd at the full degree of h1.  The heads H_0 = (1),
+    H_{i+1} = A_i . H_i^(p) have H_{i0} = h1, and _row_radical takes
+    rad X for X = sum_j c_j Y_j^p, where (c_j) is a row of layer i and
+    Y_j = H_i[j]; h1 is the last layer's one row.  Here rad is taken
+    away from t and t - 1, which are divided out at the end.  Terms with
+    c_j = 0 or Y_j = 0 drop out, and for four branch points at most two
+    remain (the signature is at most 2).  Over F_p, (Y^p)' = 0.  Proof,
+    by cases:
+      * No term: X = 0; for h1 that is the vanishing composite.
+      * One term: X = c Y^p, so rad X = lcm(rad c, rad Y), and Y = H_i[j]
+        is the sum over row j of layer i - 1 (rad H_0 = 1).
+      * Two terms with W = c_1' c_2 - c_1 c_2' = 0.  With g = gcd(c_1, c_2)
+        and c_k = g a_k, W = g^2 (a_1' a_2 - a_1 a_2'); a_1 and a_2 are
+        coprime, so a_1 divides a_1', and a_1' = a_2' = 0.  Hence
+        a_k = alpha_k^p with alpha_k read off every p-th coefficient (a
+        constant when the entries have degree below p), and
+        X = g (alpha_1 Y_1 + alpha_2 Y_2)^p.  The bracket is the sum over
+        the row alpha_1 A_{i-1}[1] + alpha_2 A_{i-1}[2] of layer i - 1, so
+        rad X = lcm(rad g, rad of the bracket), and X = 0 exactly when
+        the bracket is.
+      * Two terms with W != 0.  Let G = gcd(Y_1, Y_2) and Y_k = G Z_k, so
+        X = G^p h with h = c_1 Z_1^p + c_2 Z_2^p and
+        rad X = lcm(rad G, rad h).  As h' = c_1' Z_1^p + c_2' Z_2^p,
+            c_2' h - c_2 h' = -W Z_1^p  and  c_1' h - c_1 h' = W Z_2^p.
+        So h != 0 (else c_1 / c_2 = -(Z_2 / Z_1)^p and
+        W = c_2^2 (c_1 / c_2)' = 0), and if pi^e exactly divides h with
+        e >= 2, pi^(e-1) divides W Z_1^p and W Z_2^p, hence W, as Z_1 and
+        Z_2 are coprime.  Such a pi, if it is not t or t - 1, divides D,
+        the part of gcd(W, h) prime to t and t - 1, so v_pi(W D) >= e.
+        So E = gcd(W D, h) is the product of pi^e over those pi, times
+        simple factors of h and powers of t and t - 1, and h / (E / rad E)
+        has no repeated factor but t and t - 1.  When D = 1 there is no
+        such pi, and h itself has none.  Every residue h mod n is
+        c_1 (Z_1^p mod n) + c_2 (Z_2^p mod n), taken at the degree of n.
+    The gcds run on entries of degree below p, on W and W D of degree
+    below 2p and 4p, and on G at the degree of H_{i0-1}, about deg h1 / p.
+    Finally t and t - 1 are divided out; the radical is unique, so this
+    is the radical of the stripped h1."""
     params = h1_fabc_params(ctx, budget)
     if params is not None:
         return fabc(strip(params).reduced).monic()
-    poly = h1(ctx, budget)
-    if poly.is_zero:
+    rad = _layers_radical(_budgeted_chain(ctx, budget))
+    if rad is None:
         raise HypothesisNotMet(
             "chain composite vanishes identically; every parameter is a witness"
         )
-    out = FpUniPoly.one(ctx.field)
-    for part in _squarefree_parts(_strip_01(poly).monic()):
-        out = out * part
-    return out
+    return rad
+
+
+def _layers_radical(layers) -> Optional[FpUniPoly]:
+    """Radical away from t and t - 1 of the twisted composite of univariate
+    layers A_0..A_{i0-1} (first and last dimension 1), by the cases of
+    h1_radical's docstring; None when the composite is 0."""
+    heads = [(FpUniPoly.one(layers[0][0][0].field),)]
+    for mat in layers[:-1]:
+        twisted = [y.frobenius_pow(1) for y in heads[-1]]
+        heads.append(tuple(functools.reduce(operator.add, map(operator.mul, row, twisted)) for row in mat))
+    rad = _row_radical(layers, heads, len(layers) - 1, layers[-1][0])
+    return None if rad is None else _strip_01(rad)
+
+
+def _radical_01(f: FpUniPoly) -> FpUniPoly:
+    """Monic product of the distinct irreducible factors of f != 0 other
+    than t and t - 1."""
+    parts = _squarefree_parts(_strip_01(f).monic())
+    return functools.reduce(operator.mul, parts, FpUniPoly.one(f.field))
+
+
+def _lcm(a: FpUniPoly, b: FpUniPoly) -> FpUniPoly:
+    """Lcm of monic a and b, its gcd taken at the smaller degree."""
+    if a.degree > b.degree:
+        a, b = b, a
+    if a.degree == 0:
+        return b
+    return b * (a // a.gcd(b % a))
+
+
+def _row_radical(layers, heads, i: int, row) -> Optional[FpUniPoly]:
+    """For X = sum_j row[j] * heads[i][j]^p, by the cases of h1_radical's
+    docstring: a monic polynomial with each irreducible factor of X other
+    than t and t - 1 once, and no other (t and t - 1 may appear to any
+    power); None when X = 0."""
+    terms = [(c, y, j) for j, (c, y) in enumerate(zip(row, heads[i])) if not (c.is_zero or y.is_zero)]
+    if not terms:
+        return None
+    if len(terms) == 1:
+        ((c, y, j),) = terms
+        inner = _row_radical(layers, heads, i - 1, layers[i - 1][j]) if i else y
+        return _lcm(_radical_01(c), inner)
+    (c1, y1, _), (c2, y2, _) = terms
+    w = c1.derivative() * c2 - c1 * c2.derivative()
+    if w.is_zero:
+        g = c1.gcd(c2)
+        alphas = [FpUniPoly(g.field, (c // g).coeffs[:: g.field.p]) for c in (c1, c2)]
+        bracket = tuple(alphas[0] * e1 + alphas[1] * e2 for e1, e2 in zip(*layers[i - 1]))
+        inner = _row_radical(layers, heads, i - 1, bracket)
+        return None if inner is None else _lcm(_radical_01(g), inner)
+    g = y1.gcd(y2)
+    z1, z2 = y1 // g, y2 // g
+    p = g.field.p
+
+    def h_mod(n):
+        return (c1 * poly_powmod(z1, p, n) + c2 * poly_powmod(z2, p, n)) % n
+
+    h = c1 * z1.frobenius_pow(1) + c2 * z2.frobenius_pow(1)
+    d = _strip_01(w.gcd(h_mod(w)))
+    if d.degree:
+        wd = w * d
+        e = wd.gcd(h_mod(wd))
+        h = h // (e // _radical_01(e))
+    rad_g = _radical_01(g)
+    if rad_g.degree == 0:
+        return h.monic()
+    # the lcm: rad G is squarefree, so its gcd with rad h is its gcd with h
+    return h.monic() * (rad_g // rad_g.gcd(h_mod(rad_g)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ the chain polynomial at the smallest anchor character.  Every radical is
 hassewitt.h1_radical, the one the witness search also uses: in the
 classes p = +-1 mod m phi_c is a single entry +-f(a,b,c) and its radical
 is the closed form f(strip(a,b,c).reduced), with no chain composite and
-no gcd(f, f'); longer chains are built, stripped and squarefree-split.
+no gcd(f, f'); longer chains take theirs from the chain's last layer,
+with no gcd at the degree of the composite.
 """
 
 import csv
@@ -29,7 +30,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -321,7 +321,8 @@ def census(
     the f(a,b,c) closed form (hassewitt.h1_radical); the strata then read
     off gcds: a pattern is realized exactly when the matching cofactor has
     positive degree.  Other congruence classes get the two-row generic /
-    non-generic report."""
+    non-generic report, certified by the radical of the anchor chain's
+    composite, taken from the chain's last layer (hassewitt.h1_radical)."""
     if datum.r != 4 or datum.m not in (5, 7):
         raise UnsupportedFamily(
             f"census needs r=4 and m in {{5, 7}}: got m={datum.m}, r={datum.r}"
@@ -499,6 +500,9 @@ def census_records(
     if workers <= 1:
         computed = [task(p) for p in missed_primes]
     else:
+        # imported here: a process that starts no pool does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(task, missed_primes))
     for i, rec in zip(misses, computed):

@@ -2,14 +2,29 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas, using big-integer arithmetic (math.comb) and brute-force
-expansion.  Nothing imports the package under test.  Outputs are plain
+expansion, and does not use the package under test.  Outputs are plain
 Python values: univariate polynomials as coefficient lists (lowest degree
 first, trailing zeros trimmed), multivariate polynomials as dicts mapping
 exponent tuples to nonzero residues.
+
+The last section is the exception: the generic routines that the
+package's faster paths replaced, kept as references.  They run on the
+package's polynomial types and its squarefree and factoring kernels.
 """
 
 import math
+import random
 from fractions import Fraction
+
+from cyclocover.errors import InvalidInput, ParamOutOfRange
+from cyclocover.ff import (
+    ExtField,
+    FpUniPoly,
+    _distinct_degree,
+    _equal_degree_split,
+    _squarefree_parts,
+)
+from cyclocover.hassewitt import h1, _strip_01
 
 
 def trim(coeffs):
@@ -254,3 +269,37 @@ FROZEN = {
     # result (7,6,(3,1,1,1,3,5)), eps = gcd(2,7)-1 = 0
     "clutch_7": (7, 6, (3, 1, 1, 1, 3, 5), 0),
 }
+
+
+# ---------------------------------------------------------------------------
+# generic routines replaced in the package, on its own types and kernels
+
+
+def radical_01(f):
+    """Radical of f away from 0 and 1: strip t and t - 1, then multiply
+    the parts of a squarefree decomposition."""
+    out = FpUniPoly.one(f.field)
+    for part in _squarefree_parts(_strip_01(f).monic()):
+        out = out * part
+    return out
+
+
+def ext_roots(f, dmax, seed):
+    """One representative root per irreducible factor of degree <= dmax.
+
+    Each factor g of degree d is used as the modulus of F_{p^d}, so the
+    class of t is an exact root; returns [(ExtFieldElem, d)], sorted by
+    (d, factor coefficients)."""
+    if f.is_zero:
+        raise InvalidInput("root search on the zero polynomial")
+    if dmax < 1:
+        raise ParamOutOfRange("dmax must be >= 1")
+    rng = random.Random(seed)
+    irreducibles = []
+    for part in _squarefree_parts(f.monic()):
+        for prod, d in _distinct_degree(part):
+            if d > dmax:
+                break
+            irreducibles.extend(_equal_degree_split(prod, d, rng))
+    irreducibles.sort(key=lambda g: (g.degree, g.coeffs))
+    return [(ExtField(f.field, g, check=False).generator(), g.degree) for g in irreducibles]

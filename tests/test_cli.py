@@ -627,6 +627,37 @@ def test_chain_composites_are_byte_identical_to_the_recorded_digest(capsys, argv
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded while h1_radical still built h1 and took its squarefree
+# decomposition at the full degree: censuses of i0 = 3 chains (dims
+# (1, 2, 2, 1)), and witnesses on every chain of these data and primes
+# that takes the last-layer radical (7:4:1,1,1,4 at p = 53 with --b0 3
+# prints the same bytes too, but spends 8 s in least_factor)
+
+LAST_LAYER_SHA256 = [
+    ("census 7:4:1,1,1,4 -p 37 -o json", "65ddb46ae97a611c34575173398646ea87e909452e8ca62037479d558424d4fa"),
+    ("census 7:4:1,1,1,4 -p 53 -o json", "8a6169dde10c7c0708548f2da42899f3ee86639619ca02059e63a54806b9c8ea"),
+    ("census 7:4:1,2,2,2 -p 47 -o json", "c7faaaf7989fd09652e3fb3d17d522d3376bc09ea8625212c00a4b3e88424aa6"),
+    ("witness 7:4:1,1,1,4 -p 37 --b0 3 --seed 7 -o json", "120a92f8e93563ba8a8d34f44704288fbf99e4cd392da98d98b7e02dce468c18"),
+    ("witness 7:4:1,1,1,4 -p 37 --b0 4 --seed 7 -o json", "9fd5f67d08c12684e396603637f17aa9bb6c23d14c564c6e28f17bb37d3dd983"),
+    ("witness 7:4:1,1,1,4 -p 53 --b0 4 --seed 7 -o json", "03329bf1fe7160ffc30dacd4a07d275cf10f0c5f2895870600ea38ea67ccf491"),
+    ("witness 7:4:1,2,2,2 -p 47 --b0 2 --seed 7 -o json", "f6fcb030a0187ec44e332f4fc111d0ca9cff270b97f06e79b654c9ee35c66389"),
+    ("witness 7:4:1,2,2,2 -p 47 --b0 5 --seed 7 -o json", "c96d7361ace276284a7a6fb1c9c948929f1e56593afcaf6c24234fdfdc7817cc"),
+    ("witness 7:4:3,1,1,2 -p 31 --b0 2 --seed 7 -o json", "98db952b4ce72cf5477da883fceb6d6a2e8f1f1a4fda1462c2de7ad56231794d"),
+    ("witness 7:4:3,1,1,2 -p 31 --b0 5 --seed 7 -o json", "b8670f614d8333ac212da19e8ec007b972b2985b5518074ec6782e9db5b2f4ce"),
+    ("witness 7:4:3,1,1,2 -p 53 --b0 2 --seed 7 -o json", "b40f48813b05c6f2bee47d464141fe5a1b68ab9297901594a1c4dcc835905530"),
+    ("witness 7:4:3,1,1,2 -p 53 --b0 5 --seed 7 -o json", "bcf563afae4815a8abaaf9cdce5c86a0f82505da227d5bcc3b10cc06062f660e"),
+    ("witness 7:4:3,1,1,2 -p 179 --b0 2 --seed 7 -o json", "ede54333601b5e36cacb7237d32e61046fae1e3edf7a0f5beec349266c2e10b6"),
+    ("witness 7:4:3,1,1,2 -p 179 --b0 5 --seed 7 -o json", "4c33002b3e6e821006a8a3bf7b12ffb4e1aea811e0267b3d10b562c52975ba63"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LAST_LAYER_SHA256)
+def test_last_layer_radicals_are_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _NU_EMPTY = '{"certificate":null,"dim":1,"label":"Nu","nonempty":false}'
 _NU_CERT = '{"certificate":"1 + 2*t^3 + 1*t^4","dim":1,"label":"Nu","nonempty":true}'
 

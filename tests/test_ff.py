@@ -17,7 +17,6 @@ from cyclocover.ff import (
     _mul_coeffs,
     binomial_mod_p,
     eval_in_ext,
-    ext_roots,
     factor,
     is_irreducible,
     is_prime_u64,
@@ -28,6 +27,7 @@ from cyclocover.ff import (
 from oracles import (
     binom_mod,
     divrem_schoolbook,
+    ext_roots,
     gcd_euclid,
     mul_schoolbook,
     remainder_sequence,

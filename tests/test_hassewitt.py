@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from cyclocover.hassewitt import (
     h1,
     h1_fabc_params,
     h1_profile,
+    h1_radical,
     nonordinary_witness,
     phi_entry,
     phi_specialized,
@@ -42,6 +44,7 @@ from cyclocover.hassewitt import (
     witness_count,
     _composite,
     _graded_slice,
+    _layers_radical,
     _phi_fabc_params,
     _qhat,
     _slice_multiplicity,
@@ -49,7 +52,7 @@ from cyclocover.hassewitt import (
 )
 from cyclocover.monodromy import MonodromyDatum, signature
 
-from oracles import compose_sigma_linear, phi_entry_oracle, psi_entry_oracle
+from oracles import compose_sigma_linear, phi_entry_oracle, psi_entry_oracle, radical_01
 
 D7 = MonodromyDatum(7, 4, (3, 1, 1, 2))
 D5 = MonodromyDatum(5, 4, (1, 1, 1, 2))
@@ -1080,3 +1083,140 @@ def test_witness_count_floor():
         assert ctx.i0 == 1
         assert witness_count(ctx) >= p // m - 1, (d.a, p, ctx.base)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# radicals from the chain's last layer
+
+
+def _radical_chains():
+    """Every chain of the four-point M5, M7, M8 and M9 data (labels
+    sorted) at the odd primes p < 48 prime to m, one per base."""
+    for m in (5, 7, 8, 9):
+        for d in _sorted_four_data(m):
+            sig = signature(d)
+            for p in _primes_in(3, 48):
+                if m % p == 0:
+                    continue
+                for b0 in range(1, m):
+                    if math.gcd(b0, m) == 1 and sig[m - b0] == 1:
+                        yield OrbitContext(d, p, b0)
+
+
+# sha256 of every outcome (the radical's coefficients, or the error class
+# and message) of h1_radical over _radical_chains, 3,830 chains per
+# budget; recorded while h1_radical still built h1 and took its
+# squarefree decomposition at the full degree
+H1_RADICAL_SHA256 = {
+    None: "37020e1302074d753c92d2274fb04c91fca3b429f92e14bb36951c1c167f72ec",
+    10: "c5b0c3ed46ae6a0a665e3af93aaca528439e599d08f71cbe415cf0ec711cf438",
+    1000: "a2d4b570628d51a4caf78e0bdc16e6ec65a223818423ec34c9b6ae0bcd8098ce",
+}
+
+
+@pytest.mark.parametrize("budget", sorted(H1_RADICAL_SHA256, key=str))
+def test_h1_radical_golden_digest(budget):
+    kwargs = {} if budget is None else {"budget": budget}
+    digest = hashlib.sha256()
+    for ctx in _radical_chains():
+        outcome = _outcome_text(lambda: h1_radical(ctx, **kwargs).coeffs)
+        digest.update(f"{outcome}\n".encode())
+    assert digest.hexdigest() == H1_RADICAL_SHA256[budget]
+
+
+def _last_layer_cases(ctx, layers):
+    """The cases of h1_radical's proof that the chain's last layer takes,
+    read off the chain: i0, the number d of nonzero terms, and for d = 2
+    whether W = 0, whether G = gcd(Y_1, Y_2) has positive degree, and
+    whether h~ has a repeated factor other than t and t - 1 (a nonconstant
+    W-part)."""
+    one = FpUniPoly.one(ctx.field)
+    heads = [one]
+    if ctx.i0 > 1:
+        heads = [col[0] for col in compose_sigma_linear(
+            layers[:-1], ctx.p, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add
+        )]
+    terms = [(c, y) for c, y in zip(layers[-1][0], heads) if not (c.is_zero or y.is_zero)]
+    cases = {f"i0={ctx.i0}", f"d={len(terms)}"}
+    if len(terms) == 2:
+        (c1, y1), (c2, y2) = terms
+        if (c1.derivative() * c2 - c1 * c2.derivative()).is_zero:
+            return cases | {"W=0"}
+        g = y1.gcd(y2)
+        if g.degree:
+            cases.add("deg G>0")
+        h = c1 * (y1 // g).frobenius_pow(1) + c2 * (y2 // g).frobenius_pow(1)
+        if radical_01(h).degree < _strip_01(h).degree:
+            cases.add("W-part")
+    return cases
+
+
+# the only chains of _radical_chains whose h~ has a repeated factor other
+# than t and t - 1, both M9 data at p = 5
+W_PART_CHAINS = [((1, 1, 3, 4), 5, 7), ((2, 2, 6, 8), 5, 8)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_last_layer_radical_matches_the_generic_path(seed):
+    # no chain of _radical_chains has W = 0 at its last layer, or a zero
+    # entry there; test_layers_radical_on_constructed_chains reaches both
+    rng = random.Random(seed)
+    # below p = 30 the full-degree oracle stays fast; the golden digest
+    # above pins every outcome up to p = 47
+    chains = rng.sample([ctx for ctx in _radical_chains() if ctx.p < 30], 150) + [
+        OrbitContext(MonodromyDatum(9, 4, a), p, b0) for a, p, b0 in W_PART_CHAINS
+    ]
+    reached = set()
+    for ctx in chains:
+        layers = specialized_chain(ctx)
+        want = radical_01(h1(ctx))
+        assert _layers_radical(layers) == want, ctx
+        assert h1_radical(ctx) == want, ctx
+        reached |= _last_layer_cases(ctx, layers)
+    assert reached >= {"i0=1", "i0=2", "i0=3", "d=1", "d=2", "deg G>0", "W-part"}
+
+
+def _constructed_layers(rng, p, dims):
+    """Random univariate layers of shape dims[i+1] x dims[i], with zero
+    entries, two-entry rows (g a_1^p, g a_2^p) that have W = 0, and at
+    times a layer before such a row chosen so the composite vanishes."""
+    field = PrimeField(p)
+
+    def poly(top):
+        return FpUniPoly(field, [rng.randrange(p) for _ in range(rng.randrange(1, top + 1))])
+
+    def entry():
+        return FpUniPoly.zero(field) if rng.random() < 0.2 else poly(p)
+
+    layers = [[[entry() for _ in range(dims[i])] for _ in range(dims[i + 1])]
+              for i in range(len(dims) - 1)]
+    for i, mat in enumerate(layers):
+        for row in mat:
+            if len(row) == 2 and rng.random() < 0.6:
+                g, a1, a2 = poly(p), poly(2), poly(2)
+                row[:] = [g * a1.frobenius_pow(1), g * a2.frobenius_pow(1)]
+                if rng.random() < 0.3:
+                    u = [entry() for _ in range(dims[i - 1])]
+                    layers[i - 1][:] = [[a2 * x for x in u], [-a1 * x for x in u]]
+    return tuple(tuple(tuple(row) for row in mat) for mat in layers)
+
+
+def test_layers_radical_on_constructed_chains():
+    # the cases real chains do not reach: W = 0 (with constant and with
+    # nonconstant a_k), zero entries, and composites that vanish
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice((3, 5, 7))
+        dims = rng.choice(((1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 1, 2, 1)))
+        layers = _constructed_layers(rng, p, dims)
+        one = FpUniPoly.one(PrimeField(p))
+        composite = _composite(layers, dims, one, operator.mul, merge=True)
+        got = _layers_radical(layers)
+        if composite.is_zero:
+            assert got is None
+            outcomes.add("vanishing")
+        else:
+            assert got == radical_01(composite), (p, layers)
+            outcomes.add("radical")
+    assert outcomes == {"vanishing", "radical"}

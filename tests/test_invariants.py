@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cyclocover
@@ -41,6 +44,18 @@ def test_one_process_pool_in_the_library():
         or (isinstance(node, ast.alias) and node.name == "ProcessPoolExecutor")
     }
     assert users == {"strata.py"}
+
+
+def test_cli_import_loads_no_process_pool():
+    # strata imports the pool where it starts one; a command that runs
+    # serially never pays for concurrent.futures or multiprocessing
+    code = (
+        "import sys, cyclocover.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_factor_stays_off_the_library_paths():

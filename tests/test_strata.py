@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -16,14 +17,13 @@ from cyclocover.errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from cyclocover.ff import ExtField, FpUniPoly, PrimeField, _squarefree_parts
+from cyclocover.ff import ExtField, FpUniPoly, PrimeField
 from cyclocover.hassewitt import (
     OrbitContext,
     h1,
     h1_fabc_params,
     h1_radical,
     witness_count,
-    _strip_01,
 )
 from cyclocover.monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, genus, signature
 from cyclocover import strata
@@ -46,7 +46,7 @@ from cyclocover.strata import (
     survey_primes,
 )
 
-from oracles import mu_ordinary_slopes_oracle, phi_entry_oracle
+from oracles import mu_ordinary_slopes_oracle, phi_entry_oracle, radical_01
 
 D5 = MonodromyDatum(5, 4, (1, 1, 1, 2))
 
@@ -514,7 +514,7 @@ class _FakePool:
     (64, 8, 3, None),  # all hits: no pool
 ])
 def test_census_records_bounds_the_pool(monkeypatch, tmp_path, workers, cpus, cached, size):
-    monkeypatch.setattr(strata, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(strata.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_FakePool, "sizes", [])
     primes = [29, 43, 71]
@@ -600,16 +600,7 @@ def test_supersingular_rejections():
 
 
 # ---------------------------------------------------------------------------
-# closed-form radicals against the generic path
-
-
-def _radical_01(f):
-    """Generic radical away from 0 and 1: strip t and t - 1, then multiply
-    the parts of a squarefree decomposition."""
-    out = FpUniPoly.one(f.field)
-    for part in _squarefree_parts(_strip_01(f).monic()):
-        out = out * part
-    return out
+# closed-form and last-layer radicals against the generic path
 
 
 def _balanced_chains(m, p):
@@ -636,14 +627,14 @@ def test_closed_form_radical_matches_generic_path(seed):
                 for d, c in rng.sample(chains, min(8, len(chains))):
                     ctx = OrbitContext(d, p, m - c)
                     assert h1_fabc_params(ctx) is not None, (d, p, c)
-                    assert h1_radical(ctx) == _radical_01(h1(ctx)), (d, p, c)
+                    assert h1_radical(ctx) == radical_01(h1(ctx)), (d, p, c)
 
 
 @pytest.mark.parametrize("p,c", [(31, 2), (53, 2), (37, 3)])
-def test_long_orbit_chain_takes_the_generic_path(p, c):
+def test_long_orbit_radical_matches_the_generic_path(p, c):
     ctx = OrbitContext(M7_FAMILY, p, 7 - c)
     assert ctx.i0 > 1
     assert h1_fabc_params(ctx) is None
     rad = h1_radical(ctx)
-    assert rad == _radical_01(h1(ctx))
+    assert rad == radical_01(h1(ctx))
     assert rad.degree >= 1
