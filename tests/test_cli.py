@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import itertools
 import json
+import math
 
 import pytest
 
@@ -8,7 +10,7 @@ from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_conf
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
-from cyclocover.monodromy import canonicalize, parse_datum
+from cyclocover.monodromy import MonodromyDatum, canonicalize, parse_datum, signature
 from cyclocover.strata import census, prime_survey
 
 M7 = "7:4:3,1,1,2"
@@ -674,6 +676,56 @@ def test_census_at_p3_of_the_wide_phi_data(capsys, labels, nu):
         '{"certificate":null,"dim":2,"label":"MuOrdinary","nonempty":true},'
         + nu + "]}\n"
     )
+
+
+# (chain count, sha256 of "<argv>\n<exit code>\n<stdout><stderr>" over the
+# chains in _psi_chain_argvs order) per prime; recorded while
+# psi_specialized still took two windowed closed forms and specialized the
+# multivariate psi entry outside them.  128 chains at p = 3, 5, 7 and 282
+# at p = 11..31.
+
+PSI_CHAIN_H1_SHA256 = {
+    3: (34, "095b87816856f656004ad2569337a59d7ee8e6186314247ed0c2fde7c99fb281"),
+    5: (54, "4eddef5d1ee470bc7e3025e5505ac504d8ae571f39581be6bb08379a91712b3a"),
+    7: (40, "eb3d2b6ba8ee559c025b7165136e8c6d94fd25e6bd7c3a2beb6b6b306e756d21"),
+    11: (48, "1b728a411f4bc1f42e139924fa9054aeac36cf86f211c1c8b69046c60590ff8d"),
+    13: (52, "882974f398e3133040fdb4a5a6f0faeb642cbb3d3960ade423e10b6337d4241b"),
+    17: (22, "831db8ded5838996344439fa4f5f734fac8b0e7c62e1adabac982e8948624714"),
+    19: (30, "5aacc1a033d5f4a6973f5c1a285ab57750b29e29d3a46911af17e0f169eb5255"),
+    23: (40, "1511366f696d720a6f58351dbb049e58d8429c9c96b343b1c4fa6b70dacc8bd8"),
+    29: (36, "a930dea0d479d18269751317e01c6d81875f5247c6ce515d8d0a3e270fb80e39"),
+    31: (54, "ffeb4904316d43c61520adad0e5a875ed615fc418d53d4d6ea6baf0f987e0269"),
+}
+
+
+def _psi_chain_argvs(p):
+    """`hw h1 -o json` on every chain of the four-point M5, M7, M8 and M9
+    data (labels sorted) that has a psi or psi_dual step among its first
+    i0 steps, one per base."""
+    for m in (5, 7, 8, 9):
+        if m % p == 0:
+            continue
+        for a in itertools.combinations_with_replacement(range(1, m), 4):
+            if sum(a) % m or math.gcd(m, *a) != 1:
+                continue
+            sig = signature(MonodromyDatum(m, 4, a))
+            for b0 in range(1, m):
+                if math.gcd(b0, m) != 1 or sig[m - b0] != 1:
+                    continue
+                ctx = OrbitContext(MonodromyDatum(m, 4, a), p, b0)
+                if {"psi", "psi_dual"} & set(ctx.kinds[: ctx.i0]):
+                    yield f"hw h1 {m}:4:{','.join(map(str, a))} -p {p} --b0 {b0} -o json"
+
+
+@pytest.mark.parametrize("p", sorted(PSI_CHAIN_H1_SHA256))
+def test_psi_chain_h1_is_byte_identical_to_the_recorded_digest(capsys, p):
+    digest = hashlib.sha256()
+    count = 0
+    for argv in _psi_chain_argvs(p):
+        code, out, err = run(capsys, *argv.split())
+        digest.update(f"{argv}\n{code}\n{out}{err}".encode())
+        count += 1
+    assert (count, digest.hexdigest()) == PSI_CHAIN_H1_SHA256[p]
 
 
 def test_h0_long_orbit_refusal_line(capsys):
