@@ -421,10 +421,6 @@ class FpUniPoly:
     def constant(cls, field: PrimeField, c: int) -> "FpUniPoly":
         return cls(field, [c])
 
-    @classmethod
-    def monomial(cls, field: PrimeField, c: int, e: int) -> "FpUniPoly":
-        return cls(field, [0] * e + [c])
-
     @property
     def is_zero(self) -> bool:
         return not (self._terms if self._coeffs is None else self._coeffs)
@@ -478,12 +474,6 @@ class FpUniPoly:
     def scale(self, c: int) -> "FpUniPoly":
         c %= self.field.p
         return FpUniPoly(self.field, [c * x for x in self.coeffs])
-
-    def shift(self, e: int) -> "FpUniPoly":
-        """Multiply by t^e."""
-        if self.is_zero:
-            return self
-        return FpUniPoly(self.field, [0] * e + list(self.coeffs))
 
     def frobenius_pow(self, k: int) -> "FpUniPoly":
         """self**(p**k), via the freshman's dream: exponents scale by p^k."""

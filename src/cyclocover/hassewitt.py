@@ -7,11 +7,12 @@ phi entries are single signed slices, psi entries combine decremented
 slices with the cofactor coefficients of prod_{s != k} (x - x_s).
 
 An OrbitContext walks the multiplication-by-p orbit through a chosen
-base character.  One builder (_layers) assembles its chain matrices and
-one composite (_composite) twists them and sums the products along the
-index walks: multivariate over all l steps for h0, which cuts out the
-non-ordinary locus in the branch-point coordinates, and univariate over
-the first i0 steps for h1.
+base character.  One builder (_layers) assembles its chain matrices.
+h0, over all l steps and multivariate, cuts out the non-ordinary locus
+in the branch-point coordinates; _composite multiplies its index walks
+out one by one.  h1, over the first i0 steps and univariate, is the last
+of the heads H_{i+1} = A_i . H_i^(p) (_heads), the one fold that the
+radical also reads.
 For four branch points the substitution (x_1, x_2, x_3, x_4) =
 (infinity, t, 1, 0) turns every entry into a univariate polynomial, and
 h1 gives a computable certificate of non-ordinariness.
@@ -25,6 +26,59 @@ is largest, E1 - E4, exactly when e_1 = E1 and e_4 = E4 (lowering e_1 by
 d raises the least admissible e_4 by at most d).  specialize_infty keeps
 those terms and sets x_1 = x_3 = x_4 = 1, leaving C(b_1, E1) C(b_4, E4)
 f(b_2, b_3, n - E1 - E4).
+
+The specialized psi entry comes from the same closed form.  With
+n = s - p*j it is -sum_k b_k (-1)^n S_k qhat_k, S_k the degree-n slice
+of b - e_k (slots with b_k = 0 drop out).  The gap is a grading, so each
+product's top part is the product of its factors' top parts:
+unit_k f(params_k) at gap E1_k - E4_k from the phi closed form for
+b - e_k, and the fixed part _QHAT_TOP[jp][k] of qhat_k.  With
+U = b_1 + b_2 + b_3, E1 = min(b_1, n) and q_k the gaps of that table,
+slot k's total gap is
+
+    k = 1:     min(b_1 - 1, n) - max(0, n - U + 1) + q_1
+    k = 2, 3:  E1 - max(0, n - U + 1) + q_2
+    k = 4:     E1 - max(0, n - U) + q_4
+
+with q_1 = q_2 - 1 and q_4 = q_2 + 2 - jp, and every S_k is nonzero
+exactly when 0 <= n < s.  So one slot is on top, or several of slots 2,
+3 and 4 are: slots 2 and 3 always tie, and slot 4 joins them when jp = 2
+and n < U (for jp = 1 a tie needs b_4 = 0).  Such a tie has n < U, hence
+E4 = 0 and the shared unit (-1)^n C(b_1, E1) and c = n - E1, and its
+terms add up to b_2 f(b_2-1, b_3, c) + b_3 t f(b_2, b_3-1, c)
++ b_4 (1+t) f(b_2, b_3, c).  With H = (1 + s t)^{b_2} (1 + s)^{b_3}, so
+that f(b_2, b_3, c) = [s^c] H, that is [s^c] of
+
+    H (b_2 / (1+st) + t b_3 / (1+s) + b_4 (1+t))
+        = (1+t) ((b_2 + b_3 + b_4) H - s H') - H',
+
+by Euler's identity s H' = H (b_2 st / (1+st) + b_3 s / (1+s)).  Hence
+the tie is
+
+    (1+t) (b_2 + b_3 + b_4 - c) f(b_2, b_3, c) - (c+1) f(b_2, b_3, c+1),
+
+and for n >= b_1 its first coefficient is s - n = p*j, zero mod p.  A
+single slot on top is a unit times f(params_k) times a nonzero part of
+qhat_k, so only a tie can cancel.
+
+A psi entry's tie cancels only at row 2 with b_1 = 0, and then the next
+gap, 0, gives the entry -(-1)^n b_4 t f(b_2, b_3, n).  At jp = 1 a tie
+has b_4 = 0, and c + 1 = b_2 + b_3 + 1 - p*j lies in 1..p-1 when
+n >= b_1, while the tie is a unit times b_2 + b_3 t otherwise.  At jp = 2
+the second row needs signature 2 at -p*tau, which forces
+sum_k <p tau a_k / m> = 1, so s = n = -1 mod p, n >= b_1, and the tie is
+-(c+1) f(b_2, b_3, c+1) with c + 1 = -b_1 mod p.  When b_1 = 0, x_1
+enters only through qhat_k = x_1 (e_1' - x_k) + e_2'(k), with
+e_1' = x_2 + x_3 + x_4 and e_2'(k) the product of the two of x_2, x_3,
+x_4 other than x_k.  Let S be the degree-(n+1) slice of b, so that
+b_k S_k = d S / d x_k and sum_k b_k x_k S_k = (n+1) S = 0.  The entry is
+-(-1)^n (x_1 e_1' sum_k dS/dx_k + sum_k b_k S_k e_2'(k)).  Write T_d for
+the degree-d slice of (1 + x_2)^{b_2} (1 + x_3)^{b_3}.  The x_4-free part
+of sum_k dS/dx_k is (s - n) T_n = 0, as in the tie, and its x_4-linear
+part is b_4 x_4 (s - n) T_{n-1} = 0 by the same identity, so the gap-0
+part is b_4 x_2 x_3 T_n from slot 4 alone.  It is nonzero: b_4 = 0 would
+make s = b_2 + b_3 = p - 1 and n < 0.  Any other cancelling tie is
+refused with InternalError.
 """
 
 import functools
@@ -374,33 +428,34 @@ def _paths(dims):
         yield (1, *mid, 1)
 
 
-def _composite(layers, dims, one, mul, *, merge):
+def _composite(layers, dims, one, mul):
     """Twisted composite of the layers A_0..A_{l-1} (dims[0] = dims[l] = 1),
 
-        sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)).
+        sum_J prod_i A_i(J(i+1), J(i)) ** (p ** (l-1-i)),
 
-    With merge, the walks are summed from the last layer back (tails[j]
-    sums A_i..A_{l-1} over the walks leaving index j), so layer i costs
-    dims[i] * dims[i+1] products.  Without, each walk is multiplied out
-    alone, left to right from `one` in the order of _paths, so every
-    product is one walk's prefix times one entry, as h0's refusals count."""
+    each walk multiplied out alone, left to right from `one` in the order
+    of _paths, so every product is one walk's prefix times one entry, as
+    h0's refusals count."""
     l = len(layers)
 
-    def twisted(i, k, j):
-        return layers[i][k - 1][j - 1].frobenius_pow(l - 1 - i)
+    def walk(J):
+        twisted = (layers[i][J[i + 1] - 1][J[i] - 1].frobenius_pow(l - 1 - i) for i in range(l))
+        return functools.reduce(mul, twisted, one)
 
-    if not merge:
-        def walk(J):
-            return functools.reduce(mul, (twisted(i, J[i + 1], J[i]) for i in range(l)), one)
+    return functools.reduce(operator.add, map(walk, _paths(dims)))
 
-        return functools.reduce(operator.add, map(walk, _paths(dims)))
-    tails = {1: one}
-    for i in reversed(range(l)):
-        tails = {
-            j: functools.reduce(operator.add, (mul(twisted(i, k, j), t) for k, t in tails.items()))
-            for j in range(1, dims[i] + 1)
-        }
-    return tails[1]
+
+def _heads(field: PrimeField, layers) -> list:
+    """The heads H_0 = (1) and H_{i+1} = A_i . H_i^(p) of univariate layers
+    A_0, A_1, ...: H_i[k] sums the twisted walks of the first i layers
+    that end at index k, and a last layer of one row makes the last head
+    the twisted composite A_{i-1} . A_{i-2}^(p) . ... . A_0^(p^(i-1))."""
+    heads = [(FpUniPoly.one(field),)]
+    for mat in layers:
+        twisted = [y.frobenius_pow(1) for y in heads[-1]]
+        # twisted head first: its product loop then writes exponents in order
+        heads.append(tuple(functools.reduce(operator.add, map(operator.mul, twisted, row)) for row in mat))
+    return heads
 
 
 def _slice_counts(bs, n: int, k: int = 0) -> tuple:
@@ -498,7 +553,6 @@ def h0(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpMultiPoly:
         ctx.dims,
         FpMultiPoly.constant(ctx.field, ctx.datum.r, 1),
         lambda a, b: a.mul(b, budget),
-        merge=False,
     )
 
 
@@ -517,9 +571,10 @@ def specialize_infty(f: FpMultiPoly) -> FpUniPoly:
 
 
 def _phi_fabc_params(p: int, bs, n: int) -> Optional[tuple]:
-    """(params, unit) with the specialized degree-n phi slice, signed by
-    (-1)^n, equal to unit * f(params) (the closed form of the module
-    docstring); None when the slice is zero."""
+    """(params, unit, gap) with the specialized degree-n slice of
+    prod_k (1 + x_k)^{b_k}, signed by (-1)^n, equal to unit * f(params),
+    taken at the largest exponent gap E1 - E4 (the closed form of the
+    module docstring); None when the slice is zero."""
     if not 0 <= n <= sum(bs):
         return None
     e1 = min(bs[0], n)
@@ -527,7 +582,7 @@ def _phi_fabc_params(p: int, bs, n: int) -> Optional[tuple]:
     unit = binomial_mod_p(bs[0], e1, p) * binomial_mod_p(bs[3], e4, p) % p
     if n % 2:
         unit = p - unit
-    return FabcParams(bs[1], bs[2], n - e1 - e4, p), unit
+    return FabcParams(bs[1], bs[2], n - e1 - e4, p), unit, e1 - e4
 
 
 def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
@@ -542,34 +597,63 @@ def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
     closed = _phi_fabc_params(p, bs, sum(bs) - (p * j - jp))
     if closed is None:
         return FpUniPoly.zero(ctx.field)
-    params, unit = closed
-    poly = fabc(params)
-    return poly if unit == 1 else poly.scale(unit)
+    params, unit, _ = closed
+    return fabc(params).scale(unit)
+
+
+# top part of qhat for four branch points, by row jp and slot k: the gap
+# e_1 - e_4 of its monomials of largest gap, and their sum at
+# (x_2, x_3) = (t, 1) as coefficients in t; the sign (-1)^(4-jp) is apart
+_QHAT_TOP = {
+    1: ((-1, (0, 1)), (0, (1,)), (0, (0, 1)), (1, (0, 1))),
+    2: ((0, (0, 1)), (1, (1,)), (1, (0, 1)), (1, (1, 1))),
+}
 
 
 def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
-    """Univariate psi entry after specialization.
-
-    Row 1 carries the factor b_4 * t, row 2 the scalar (s - p*j - b_1 + 1);
-    both reduce to f(b_2, b_3, .) sums.  Falls back to direct extraction
-    outside the closed forms' support window."""
+    """Univariate psi entry after specialization, in the context's branch
+    order: the closed form of the module docstring at n = s - p*j
+    (_psi_closed_form), with no multivariate entry built."""
     if ctx.datum.r != 4:
         raise ParamOutOfRange("specialized entries need four branch points")
-    datum = ctx.ordered_datum
-    sig = ctx.sig
-    m, p = datum.m, ctx.p
-    _check_psi_index(m, p, sig, tau, jp, j)
-    bs = branch_exponents(datum, p, tau)
-    n0 = sum(bs) - p * j
-    sign = 1 if n0 % 2 == 0 else ctx.field.p - 1
-    if p != 2 and all(b >= 1 for b in bs) and jp in (1, 2):
-        if jp == 1 and 0 <= n0 - bs[0] <= bs[1] + bs[2]:
-            body = fabc(FabcParams(bs[1], bs[2], n0 - bs[0], p))
-            return body.scale((bs[3] * sign) % p).shift(1)
-        if jp == 2 and 0 <= n0 - bs[0] + 1 <= bs[1] + bs[2]:
-            body = fabc(FabcParams(bs[1], bs[2], n0 - bs[0] + 1, p))
-            return body.scale(((n0 - bs[0] + 1) * sign) % p)
-    return specialize_infty(psi_entry(datum, p, tau, jp, j))
+    _check_psi_index(ctx.datum.m, ctx.p, ctx.sig, tau, jp, j)
+    bs = branch_exponents(ctx.ordered_datum, ctx.p, tau)
+    return _psi_closed_form(ctx.field, bs, sum(bs) - ctx.p * j, jp)
+
+
+def _psi_closed_form(field: PrimeField, bs, n: int, jp: int) -> FpUniPoly:
+    """Specialization of -sum_k b_k (-1)^n S_k qhat_k (S_k the degree-n
+    slice of b - e_k, qhat_k at row jp), for any exponents b_k < p: the
+    terms b_k unit_k f(params_k) qhat_k of the slots that reach the
+    largest gap, a tie of slots 2, 3 and 4 summed by Euler's identity, and
+    the next gap where that tie cancels at row 2 with b_1 = 0 and
+    n = -1 mod p (the module docstring).  That takes one f(a,b,c) for
+    every psi entry and at most two otherwise.  Raises InternalError where
+    any other tie cancels, which no psi entry reaches."""
+    p = field.p
+    slots = []
+    for k, (qgap, qtop) in enumerate(_QHAT_TOP[jp]):
+        closed = _phi_fabc_params(p, bs[:k] + (bs[k] - 1,) + bs[k + 1:], n) if bs[k] else None
+        if closed is not None:
+            params, unit, gap = closed
+            slots.append((gap + qgap, bs[k] * unit, params, qtop))
+    top = max((slot[0] for slot in slots), default=None)
+    terms = [slot[1:] for slot in slots if slot[0] == top]
+    if len(terms) > 1:
+        # a tie of slots 2, 3 (and 4), with E4 = 0: the slice of b itself
+        # has the shared unit and f(b_2, b_3, c)
+        params, unit, _ = _phi_fabc_params(p, bs, n)
+        c = params.c
+        terms = [((bs[1] + bs[2] + bs[3] - c) * unit, params, (1, 1)),
+                 (-(c + 1) * unit, FabcParams(bs[1], bs[2], c + 1, p), (1,))]
+        if jp == 2 and bs[0] == 0 and (n + 1) % p == 0:
+            terms = [(bs[3] * unit, params, (0, 1))]  # the tie cancels: the next gap
+    sign = 1 if jp % 2 else -1  # -(-1)^(4-jp)
+    entry = sum((fabc(params).scale(coef * sign) * FpUniPoly(field, qtop)
+                 for coef, params, qtop in terms if coef % p), FpUniPoly.zero(field))
+    if terms and entry.is_zero:
+        raise InternalError(f"psi slices of {tuple(bs)} at degree {n}, row {jp}: the top-gap terms cancel")
+    return entry
 
 
 def specialized_chain(ctx: OrbitContext) -> tuple:
@@ -589,9 +673,7 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
     a 1x1 matrix read off as a polynomial in t.  It divides the full
     specialized composite, so any root off {0, 1} certifies a
     non-ordinary member of the family."""
-    layers = _budgeted_chain(ctx, budget)
-    one = FpUniPoly.one(ctx.field)
-    return _composite(layers, ctx.dims[: ctx.i0 + 1], one, operator.mul, merge=True)
+    return _heads(ctx.field, _budgeted_chain(ctx, budget))[-1][0]
 
 
 def _budgeted_chain(ctx: OrbitContext, budget: int) -> tuple:
@@ -769,8 +851,9 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     So g is squarefree and is its own radical away from 0 and 1.
 
     Every other chain shape takes the radical from the chain's last
-    layer, with no gcd at the full degree of h1.  The heads H_0 = (1),
-    H_{i+1} = A_i . H_i^(p) have H_{i0} = h1, and _row_radical takes
+    layer, with no gcd at the full degree of h1.  The heads (_heads, the
+    fold h1 is the last of) H_0 = (1), H_{i+1} = A_i . H_i^(p) have
+    H_{i0} = h1, and _row_radical takes
     rad X for X = sum_j c_j Y_j^p, where (c_j) is a row of layer i and
     Y_j = H_i[j]; h1 is the last layer's one row.  Here rad is taken
     away from t and t - 1, which are divided out at the end.  Terms with
@@ -822,10 +905,7 @@ def _layers_radical(layers) -> Optional[FpUniPoly]:
     """Radical away from t and t - 1 of the twisted composite of univariate
     layers A_0..A_{i0-1} (first and last dimension 1), by the cases of
     h1_radical's docstring; None when the composite is 0."""
-    heads = [(FpUniPoly.one(layers[0][0][0].field),)]
-    for mat in layers[:-1]:
-        twisted = [y.frobenius_pow(1) for y in heads[-1]]
-        heads.append(tuple(functools.reduce(operator.add, map(operator.mul, row, twisted)) for row in mat))
+    heads = _heads(layers[0][0][0].field, layers[:-1])
     rad = _row_radical(layers, heads, len(layers) - 1, layers[-1][0])
     return None if rad is None else _strip_01(rad)
 

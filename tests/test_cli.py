@@ -1,14 +1,18 @@
 import argparse
+import collections
 import hashlib
 import itertools
 import json
 import math
+import random
+import re
 
 import pytest
 
 from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_config_file
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
+from cyclocover.ff import FpUniPoly
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
 from cyclocover.monodromy import MonodromyDatum, canonicalize, parse_datum, signature
 from cyclocover.strata import census, prime_survey
@@ -524,7 +528,8 @@ def test_fabc_strip_reconstructs(capsys):
     rebuilt = fabc(FabcParams(red["a"], red["b"], red["c"], red["p"]))
     assert rebuilt.to_json() == obj["reduced_poly"]
     field = rebuilt.field
-    expected = rebuilt.shift(obj["t_power"]).scale(obj["sign"] % field.p)
+    t_power = FpUniPoly(field, [0] * obj["t_power"] + [1])
+    expected = (rebuilt * t_power).scale(obj["sign"] % field.p)
     one_minus = type(rebuilt)(field, [field.p - 1, 1])
     for _ in range(obj["t1_power"]):
         expected = expected * one_minus
@@ -812,3 +817,97 @@ def test_malformed_datum_json_is_invalid_input(capsys, text):
     code, out, err = run(capsys, "datum", "genus", text)
     assert (code, out) == (4, "")
     assert err.startswith("error[invalid-input]: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the error contract under fuzzed command lines
+
+
+def test_datum_orbits_takes_a_unit_mod_m(capsys):
+    # unlike every other -p, orbits takes any unit mod m, 4 included;
+    # these bytes are output as they stand
+    code, out, _ = run(capsys, "datum", "orbits", M7, "-p", "4")
+    assert (code, out) == (0, "(1 4 2)  l=3  g=2\n(3 5 6)  l=3  g=2\n")
+    code, out, _ = run(capsys, "datum", "orbits", M7, "-p", "4", "-o", "json")
+    assert (code, out) == (0, '{"orbits":[{"g":2,"length":3,"members":[1,4,2]},'
+                              '{"g":2,"length":3,"members":[3,5,6]}]}\n')
+
+
+# the README examples at small primes
+FUZZ_BASES = [
+    "datum genus 7:4:3,1,1,2",
+    "datum orbits 7:4:3,1,1,2 -p 3",
+    "mu-ord 7:4:3,1,1,2 -p 13",
+    "hw phi 7:4:3,1,1,2 -p 13 --tau 3 --jp 1 --j 1 --specialize",
+    "hw psi 5:4:1,1,1,2 -p 7 --tau 3 --jp 1 --j 1 --specialize",
+    "hw h1 7:4:3,1,1,2 -p 13 --b0 5",
+    "hw h0 5:4:1,1,1,2 -p 3 --b0 2",
+    "witness 7:4:3,1,1,2 -p 29 --b0 5 --dmax 2 --seed 7",
+    "census 7:4:3,1,1,2 -p 13",
+    "survey 7:4:3,1,1,2 --class 1 --count 2",
+    "clutch 7:4:3,1,1,2 7:4:1,2,2,2 -p 11",
+    "fabc strip --a 3 --b 4 --c 2 -p 7",
+]
+
+# tokens the mutations put in, by kind: small and odd numbers, broken and
+# other data, flags, and choices of every subcommand
+FUZZ_TOKENS = {
+    "int": ["-3", "-1", "0", "1", "2", "3", "4", "5", "6", "7", "9", "11", "13", "15"],
+    "datum": ["7:4:3,1,1", "7:4:0,1,1,6", "7:3:1,2,4", "5:4:1,1,1,2", "8:4:1,1,3,3",
+              "9:4:1,1,3,4", "7:4:1,1,1,4", '{"m":7}', '{"m":7,"r":4,"a":[3,1,1,2]}', "[]"],
+    "flag": ["-p", "--b0", "--tau", "--jp", "--j", "--seed", "--dmax", "--class", "--count",
+             "--a", "--specialize", "-o"],
+    "word": ["x", "", "json", "csv", "human", "strip", "phi", "psi", "h1", "h0", "orbits",
+             "canon", "census"],
+}
+
+
+def _token_kind(token):
+    if re.fullmatch(r"-?[0-9]+", token):
+        return "int"
+    if token.startswith("-"):
+        return "flag"
+    return "datum" if ":" in token else "word"
+
+
+def _fuzz_argvs(count, seed):
+    """Seeded mutations of FUZZ_BASES, one or two each: mostly a number or
+    datum replaced by one of its kind, else any token after the subcommand
+    replaced, deleted or preceded by any token, or two neighbouring
+    tokens swapped; then --term-budget 1000."""
+    rng = random.Random(seed)
+    anything = [t for kind in FUZZ_TOKENS.values() for t in kind]
+    for _ in range(count):
+        argv = rng.choice(FUZZ_BASES).split()
+        for _ in range(rng.randint(1, 2)):
+            values = [i for i, t in enumerate(argv) if _token_kind(t) in ("int", "datum")]
+            i = rng.randrange(1, len(argv))
+            op = rng.choices(("value", "replace", "delete", "insert", "swap"), (8, 1, 1, 1, 1))[0]
+            if op == "value" and values:
+                i = rng.choice(values)
+                argv[i] = rng.choice(FUZZ_TOKENS[_token_kind(argv[i])])
+            elif op == "replace":
+                argv[i] = rng.choice(anything)
+            elif op == "delete":
+                del argv[i]
+            elif op == "insert":
+                argv.insert(i, rng.choice(anything))
+            elif op == "swap":
+                argv[i - 1], argv[i] = argv[i], argv[i - 1]
+        yield argv + ["--term-budget", "1000"]
+
+
+def test_fuzzed_command_lines_keep_the_error_contract(capsys):
+    # every run exits 0, 2, 3 or 4, and a failing one prints exactly one
+    # error[<code>] line and nothing else to stderr
+    codes = collections.Counter()
+    for argv in _fuzz_argvs(200, 20261020):
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:  # an uncaught error is a traceback
+            pytest.fail(f"{argv}: {exc!r}")
+        codes[code] += 1
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert re.fullmatch(r"error\[[a-z]+(-[a-z]+)*\]: [^\n]*\n", err), (argv, err)
+    assert set(codes) == {0, 2, 3, 4}, codes

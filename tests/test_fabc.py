@@ -101,7 +101,7 @@ def test_strip_round_trip(params):
     res = strip(params)
     field = PrimeField(params.p)
     rebuilt = fabc(res.reduced).scale(res.sign)
-    rebuilt = rebuilt.shift(res.t_power)
+    rebuilt = rebuilt * FpUniPoly(field, [0] * res.t_power + [1])
     lin = FpUniPoly(field, [-1, 1])
     for _ in range(res.t1_power):
         rebuilt = rebuilt * lin

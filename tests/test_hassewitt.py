@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -14,6 +15,7 @@ from cyclocover.errors import (
     DegreeBudgetExceeded,
     HypothesisNotMet,
     IndexOutOfRange,
+    InternalError,
     InvalidInput,
     ParamOutOfRange,
     PDividesM,
@@ -46,6 +48,7 @@ from cyclocover.hassewitt import (
     _graded_slice,
     _layers_radical,
     _phi_fabc_params,
+    _psi_closed_form,
     _qhat,
     _slice_multiplicity,
     _strip_01,
@@ -394,7 +397,7 @@ def test_h0_refuses_exactly_as_the_path_sum_would():
                 for budget in (40, 400, 4000):
                     want = _outcome(lambda: _composite(
                         build_chain(ctx, budget), ctx.dims, one,
-                        lambda a, b: a.mul(b, budget), merge=False,
+                        lambda a, b: a.mul(b, budget),
                     ))
                     assert _outcome(lambda: h0(ctx, budget)) == want, (d.a, p, b0, budget)
                     compared += 1
@@ -558,9 +561,101 @@ def test_phi_closed_form_matches_every_slice():
                 if closed is None:
                     assert want.is_zero, (p, bs, n)
                 else:
-                    params, unit = closed
+                    params, unit, gap = closed
                     assert fabc(params).scale(unit) == want, (p, bs, n)
                     assert not want.is_zero
+                    assert gap == max(e[0] - e[3] for e in block.terms), (p, bs, n)
+
+
+def _psi_indices(ctx):
+    """Every psi index (tau, jp, j) of the context's datum."""
+    m, p, sig = ctx.datum.m, ctx.p, ctx.sig
+    for tau in range(1, m):
+        if math.gcd(tau, m) == 1 and (sig[p * tau % m] == 0 or sig[m - tau] == 0):
+            for j in range(1, sig[tau] + 1):
+                for jp in range(1, sig[-p * tau % m] + 1):
+                    yield tau, jp, j
+
+
+def test_psi_closed_form_matches_every_real_entry():
+    # in the context's branch order: every psi index of every chain
+    # context of the M5-M9 data at p <= 7, and the psi entries of the
+    # chains' first i0 steps at p = 11, 13.  Among them are entries with a
+    # zero exponent or n - b_1 outside 0..b_2 + b_3, which the closed form
+    # once left to the multivariate entry, and row-2 entries with b_1 = 0,
+    # which take the next gap
+    seen, outside, zero_b, next_gap = set(), 0, 0, 0
+    for ctx in _radical_chains():
+        if ctx.p <= 7:
+            indices = _psi_indices(ctx)
+        elif ctx.p <= 13:
+            indices = [
+                (ctx.chain_chars[i], jp, j)
+                for i in range(ctx.i0) if ctx.kinds[i] in ("psi", "psi_dual")
+                for jp in range(1, ctx.dims[i + 1] + 1) for j in range(1, ctx.dims[i] + 1)
+            ]
+        else:
+            continue
+        d = ctx.ordered_datum
+        for tau, jp, j in indices:
+            if (d.a, ctx.p, tau, jp, j) in seen:
+                continue
+            seen.add((d.a, ctx.p, tau, jp, j))
+            want = specialize_infty(psi_entry(d, ctx.p, tau, jp, j))
+            assert psi_specialized(ctx, tau, jp, j) == want, (d.a, ctx.p, tau, jp, j)
+            bs = branch_exponents(d, ctx.p, tau)
+            zero_b += 0 in bs
+            outside += not want.is_zero and not 0 <= sum(bs) - ctx.p * j - bs[0] <= bs[1] + bs[2]
+            next_gap += jp == 2 and bs[0] == 0
+    assert (len(seen), zero_b, next_gap) == (1624, 60, 9) and outside > 50
+
+
+def _psi_top_extraction(p, bs, n, jp):
+    """For any exponents: specialize_infty of the psi sum
+    -sum_k b_k (-1)^n S_k qhat_k, built from its multivariate slices, and
+    whether the sum's terms at the largest gap of its products cancel."""
+    field = PrimeField(p)
+    products = [
+        _graded_slice(field, bs[:k] + (bs[k] - 1,) + bs[k + 1:], n, 10**6)
+        .mul(_qhat(field, 4, jp, k), 10**6)
+        .scale(-bs[k] * (-1) ** n)
+        for k in range(4) if bs[k]
+    ]
+    products = [x for x in products if not x.is_zero]
+    entry = sum(products, FpMultiPoly.zero(field, 4))
+    if not products:
+        return specialize_infty(entry), False
+    gap = max(e[0] - e[3] for x in products for e in x.terms)
+    top = FpMultiPoly(field, 4, {e: c for e, c in entry.terms.items() if e[0] - e[3] == gap})
+    return specialize_infty(entry), top.substitute_values({0: 1, 2: 1, 3: 1}).is_zero
+
+
+def test_psi_closed_form_on_arbitrary_exponents():
+    # zero exponents included, at n = sum(b) - p*j; where the terms at the
+    # top gap cancel, the closed form takes the next gap at row 2 with
+    # b_1 = 0 and n = -1 mod p, as every psi entry there, and otherwise
+    # refuses with InternalError
+    rng = random.Random(13)
+    outcomes = collections.Counter()
+    for p in (3, 5, 7, 11, 13):
+        for _ in range(60):
+            bs = tuple(rng.randrange(p) for _ in range(4))
+            for j, jp in itertools.product((1, 2, 3), (1, 2)):
+                n = sum(bs) - p * j
+                want, cancels = _psi_top_extraction(p, bs, n, jp)
+                if cancels and not (jp == 2 and bs[0] == 0 and (n + 1) % p == 0):
+                    with pytest.raises(InternalError, match="top-gap terms cancel"):
+                        _psi_closed_form(PrimeField(p), bs, n, jp)
+                    outcomes["refused", jp] += 1
+                    continue
+                assert _psi_closed_form(PrimeField(p), bs, n, jp) == want, (p, bs, n, jp)
+                outcomes["next gap" if cancels else "zero" if want.is_zero else "top gap", jp] += 1
+    # no tie cancels at jp = 1 (module docstring)
+    assert set(outcomes) == {
+        ("zero", 1), ("top gap", 1), ("zero", 2), ("top gap", 2), ("next gap", 2), ("refused", 2)
+    }
+    # the row-2 window of the earlier closed form gave 0 here
+    assert _psi_closed_form(PrimeField(11), (1, 1, 1, 8), 0, 2).coeffs == (2, 2)
 
 
 def test_specialized_value_at_one_and_profile_laws():
@@ -663,7 +758,7 @@ def test_h1_golden_p13():
 
 
 def test_h1_three_step_chains_match_composition():
-    # i0 = 3 with dims (1, 2, 2, 1): the merged composite sums the walks
+    # i0 = 3 with dims (1, 2, 2, 1): the fold of heads sums the walks
     # through both middle indices, as the matrix product does
     seen = 0
     for a, b0 in [((1, 1, 1, 4), 3), ((1, 1, 1, 4), 4), ((1, 2, 2, 2), 5)]:
@@ -686,16 +781,6 @@ def test_h1_three_step_chains_match_composition():
                     want.valuation_at(0), want.degree, want.evaluate(1)
                 ), (a, p, b0)
     assert seen >= 10
-
-
-def test_merged_composite_matches_the_walk_by_walk_one():
-    for d, p, b0 in [(D7, 3, 5), (D7, 13, 5), (D5, 3, 2)]:
-        ctx = OrbitContext(d, p, b0)
-        one = FpMultiPoly.constant(ctx.field, 4, 1)
-        chain = build_chain(ctx)
-        assert _composite(
-            chain, ctx.dims, one, FpMultiPoly.mul, merge=True
-        ) == _composite(chain, ctx.dims, one, FpMultiPoly.mul, merge=False)
 
 
 def test_h1_divides_specialized_h0():
@@ -1210,8 +1295,9 @@ def test_layers_radical_on_constructed_chains():
         p = rng.choice((3, 5, 7))
         dims = rng.choice(((1, 1), (1, 2, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 1, 2, 1)))
         layers = _constructed_layers(rng, p, dims)
-        one = FpUniPoly.one(PrimeField(p))
-        composite = _composite(layers, dims, one, operator.mul, merge=True)
+        composite = compose_sigma_linear(
+            layers, p, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add
+        )[0][0]
         got = _layers_radical(layers)
         if composite.is_zero:
             assert got is None

@@ -92,15 +92,32 @@ def test_strata_stays_univariate():
     assert _names(tree) & {"phi_entry", "psi_entry", "specialize_infty", "FpMultiPoly"} == set()
 
 
-def test_phi_specialized_builds_no_multivariate_entry():
-    tree = ast.parse((SRC / "hassewitt.py").read_text())
-    (fn,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "phi_specialized"
-    ]
-    called = {
-        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call)
+def _reached(tree, roots) -> set:
+    """The module-level functions and classes of a module that its own
+    call graph reaches from `roots`: every name a reached definition uses
+    that the module defines is reached too."""
+    defs = {
+        node.name: node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    assert called & {"phi_entry", "specialize_infty"} == set()
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_names(defs[name]) & defs.keys())
+    return reached
+
+
+def test_univariate_chain_builds_no_multivariate_entry():
+    # the specialized chain, h1 and its radical and profile take phi and
+    # psi entries from the f(a,b,c) closed forms; the multivariate
+    # entries and their specialization are left to h0, the hw entry
+    # commands and the tests
+    tree = ast.parse((SRC / "hassewitt.py").read_text())
+    reached = _reached(tree, ["specialized_chain", "h1", "h1_radical", "h1_profile"])
+    assert {"phi_specialized", "psi_specialized", "_heads"} <= reached
+    defs = {node.name: node for node in tree.body if getattr(node, "name", None) in reached}
+    used = set().union(*map(_names, defs.values()))
+    forbidden = {"phi_entry", "psi_entry", "specialize_infty", "_graded_slice", "_qhat", "FpMultiPoly"}
+    assert (used | reached) & forbidden == set()
