@@ -29,25 +29,31 @@ f(b_2, b_3, n - E1 - E4).
 
 The specialized psi entry comes from the same closed form.  With
 n = s - p*j it is -sum_k b_k (-1)^n S_k qhat_k, S_k the degree-n slice
-of b - e_k (slots with b_k = 0 drop out).  The gap is a grading, so each
-product's top part is the product of its factors' top parts:
-unit_k f(params_k) at gap E1_k - E4_k from the phi closed form for
-b - e_k, and the fixed part _QHAT_TOP[jp][k] of qhat_k.  With
-U = b_1 + b_2 + b_3, E1 = min(b_1, n) and q_k the gaps of that table,
-slot k's total gap is
+of b - e_k (slots with b_k = 0 drop out), and every S_k is nonzero
+exactly when 0 <= n < s.  The gap is a grading, so each product's top
+part is the product of its factors' top parts: unit_k f(params_k) at gap
+E1_k - E4_k from the phi closed form for b - e_k, and the top part of
+qhat_k, which is (-1)^(4-jp) times (gap q_k, value at (x_2, x_3) = (t, 1))
+
+    jp = 1:  (-1, t), (0, 1), (0, t), (+1, t)        for k = 1, 2, 3, 4
+    jp = 2:  (0, t), (+1, 1), (+1, t), (+1, 1 + t).
+
+With U = b_1 + b_2 + b_3 and E1 = min(b_1, n), slot k's total gap is
 
     k = 1:     min(b_1 - 1, n) - max(0, n - U + 1) + q_1
     k = 2, 3:  E1 - max(0, n - U + 1) + q_2
     k = 4:     E1 - max(0, n - U) + q_4
 
-with q_1 = q_2 - 1 and q_4 = q_2 + 2 - jp, and every S_k is nonzero
-exactly when 0 <= n < s.  So one slot is on top, or several of slots 2,
-3 and 4 are: slots 2 and 3 always tie, and slot 4 joins them when jp = 2
-and n < U (for jp = 1 a tie needs b_4 = 0).  Such a tie has n < U, hence
-E4 = 0 and the shared unit (-1)^n C(b_1, E1) and c = n - E1, and its
-terms add up to b_2 f(b_2-1, b_3, c) + b_3 t f(b_2, b_3-1, c)
-+ b_4 (1+t) f(b_2, b_3, c).  With H = (1 + s t)^{b_2} (1 + s)^{b_3}, so
-that f(b_2, b_3, c) = [s^c] H, that is [s^c] of
+with q_1 = q_2 - 1 and q_4 = q_2 + 2 - jp.  So slot 4 alone is on top
+when b_4 > 0 and either jp = 1, n >= U or b_2 = b_3 = 0; slot 1 alone
+when b_2 = b_3 = b_4 = 0; and otherwise slots 2 and 3 tie (one of them
+may be absent), joined by slot 4 at jp = 2.  A tie has n < U, hence
+E4 = 0 and the shared unit (-1)^n C(b_1, E1) and c = n - E1 of the slice
+of b itself, and its terms add up to b_2 f(b_2-1, b_3, c)
++ b_3 t f(b_2, b_3-1, c) + b_4 (1+t) f(b_2, b_3, c) (at jp = 1 the tie
+has b_4 = 0).  With
+H = (1 + s t)^{b_2} (1 + s)^{b_3}, so that f(b_2, b_3, c) = [s^c] H,
+that is [s^c] of
 
     H (b_2 / (1+st) + t b_3 / (1+s) + b_4 (1+t))
         = (1+t) ((b_2 + b_3 + b_4) H - s H') - H',
@@ -571,10 +577,10 @@ def specialize_infty(f: FpMultiPoly) -> FpUniPoly:
 
 
 def _phi_fabc_params(p: int, bs, n: int) -> Optional[tuple]:
-    """(params, unit, gap) with the specialized degree-n slice of
-    prod_k (1 + x_k)^{b_k}, signed by (-1)^n, equal to unit * f(params),
-    taken at the largest exponent gap E1 - E4 (the closed form of the
-    module docstring); None when the slice is zero."""
+    """(params, unit) with the specialized degree-n slice of
+    prod_k (1 + x_k)^{b_k}, signed by (-1)^n, equal to unit * f(params)
+    (the closed form of the module docstring); None when the slice is
+    zero.  phi entries and the slices of psi entries take it."""
     if not 0 <= n <= sum(bs):
         return None
     e1 = min(bs[0], n)
@@ -582,7 +588,7 @@ def _phi_fabc_params(p: int, bs, n: int) -> Optional[tuple]:
     unit = binomial_mod_p(bs[0], e1, p) * binomial_mod_p(bs[3], e4, p) % p
     if n % 2:
         unit = p - unit
-    return FabcParams(bs[1], bs[2], n - e1 - e4, p), unit, e1 - e4
+    return FabcParams(bs[1], bs[2], n - e1 - e4, p), unit
 
 
 def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
@@ -597,17 +603,8 @@ def phi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
     closed = _phi_fabc_params(p, bs, sum(bs) - (p * j - jp))
     if closed is None:
         return FpUniPoly.zero(ctx.field)
-    params, unit, _ = closed
+    params, unit = closed
     return fabc(params).scale(unit)
-
-
-# top part of qhat for four branch points, by row jp and slot k: the gap
-# e_1 - e_4 of its monomials of largest gap, and their sum at
-# (x_2, x_3) = (t, 1) as coefficients in t; the sign (-1)^(4-jp) is apart
-_QHAT_TOP = {
-    1: ((-1, (0, 1)), (0, (1,)), (0, (0, 1)), (1, (0, 1))),
-    2: ((0, (0, 1)), (1, (1,)), (1, (0, 1)), (1, (1, 1))),
-}
 
 
 def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
@@ -623,35 +620,33 @@ def psi_specialized(ctx: OrbitContext, tau: int, jp: int, j: int) -> FpUniPoly:
 
 def _psi_closed_form(field: PrimeField, bs, n: int, jp: int) -> FpUniPoly:
     """Specialization of -sum_k b_k (-1)^n S_k qhat_k (S_k the degree-n
-    slice of b - e_k, qhat_k at row jp), for any exponents b_k < p: the
-    terms b_k unit_k f(params_k) qhat_k of the slots that reach the
-    largest gap, a tie of slots 2, 3 and 4 summed by Euler's identity, and
-    the next gap where that tie cancels at row 2 with b_1 = 0 and
-    n = -1 mod p (the module docstring).  That takes one f(a,b,c) for
-    every psi entry and at most two otherwise.  Raises InternalError where
-    any other tie cancels, which no psi entry reaches."""
+    slice of b - e_k, qhat_k at row jp), for any exponents b_k < p, from
+    the slots with the largest gap (the module docstring): slot 4 or
+    slot 1 alone, or the tie of slots 2, 3 (and 4) by Euler's identity,
+    and the next gap where that tie cancels at row 2 with b_1 = 0 and
+    n = -1 mod p.  That takes one f(a,b,c) for every psi entry and at most
+    two otherwise.  Raises InternalError where any other tie cancels,
+    which no psi entry reaches."""
     p = field.p
-    slots = []
-    for k, (qgap, qtop) in enumerate(_QHAT_TOP[jp]):
-        closed = _phi_fabc_params(p, bs[:k] + (bs[k] - 1,) + bs[k + 1:], n) if bs[k] else None
-        if closed is not None:
-            params, unit, gap = closed
-            slots.append((gap + qgap, bs[k] * unit, params, qtop))
-    top = max((slot[0] for slot in slots), default=None)
-    terms = [slot[1:] for slot in slots if slot[0] == top]
-    if len(terms) > 1:
-        # a tie of slots 2, 3 (and 4), with E4 = 0: the slice of b itself
-        # has the shared unit and f(b_2, b_3, c)
-        params, unit, _ = _phi_fabc_params(p, bs, n)
+    b1, b2, b3, b4 = bs
+    if not 0 <= n < b1 + b2 + b3 + b4:
+        return FpUniPoly.zero(field)
+    if b2 + b3 and not (b4 and (jp == 1 or n >= b1 + b2 + b3)):
+        # the tie: the slice of b itself has its unit and f(b_2, b_3, c)
+        params, unit = _phi_fabc_params(p, bs, n)
         c = params.c
-        terms = [((bs[1] + bs[2] + bs[3] - c) * unit, params, (1, 1)),
-                 (-(c + 1) * unit, FabcParams(bs[1], bs[2], c + 1, p), (1,))]
-        if jp == 2 and bs[0] == 0 and (n + 1) % p == 0:
-            terms = [(bs[3] * unit, params, (0, 1))]  # the tie cancels: the next gap
+        terms = [((b2 + b3 + b4 - c) * unit, params, (1, 1)),
+                 (-(c + 1) * unit, FabcParams(b2, b3, c + 1, p), (1,))]
+        if jp == 2 and b1 == 0 and (n + 1) % p == 0:
+            terms = [(b4 * unit, params, (0, 1))]  # the tie cancels: the next gap
+    else:
+        k = 3 if b4 else 0
+        params, unit = _phi_fabc_params(p, bs[:k] + (bs[k] - 1,) + bs[k + 1:], n)
+        terms = [(bs[k] * unit, params, (1, 1) if k == 3 and jp == 2 else (0, 1))]
     sign = 1 if jp % 2 else -1  # -(-1)^(4-jp)
     entry = sum((fabc(params).scale(coef * sign) * FpUniPoly(field, qtop)
                  for coef, params, qtop in terms if coef % p), FpUniPoly.zero(field))
-    if terms and entry.is_zero:
+    if entry.is_zero:
         raise InternalError(f"psi slices of {tuple(bs)} at degree {n}, row {jp}: the top-gap terms cancel")
     return entry
 
@@ -851,15 +846,14 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     So g is squarefree and is its own radical away from 0 and 1.
 
     Every other chain shape takes the radical from the chain's last
-    layer, with no gcd at the full degree of h1.  The heads (_heads, the
-    fold h1 is the last of) H_0 = (1), H_{i+1} = A_i . H_i^(p) have
-    H_{i0} = h1, and _row_radical takes
-    rad X for X = sum_j c_j Y_j^p, where (c_j) is a row of layer i and
-    Y_j = H_i[j]; h1 is the last layer's one row.  Here rad is taken
-    away from t and t - 1, which are divided out at the end.  Terms with
-    c_j = 0 or Y_j = 0 drop out, and for four branch points at most two
-    remain (the signature is at most 2).  Over F_p, (Y^p)' = 0.  Proof,
-    by cases:
+    layer, with no gcd at the full degree of h1.  The heads of _heads,
+    H_0 = (1) and H_{i+1} = A_i . H_i^(p), end in H_{i0} = h1, and
+    _row_radical takes rad X for X = sum_j c_j Y_j^p, where (c_j) is a
+    row of layer i and Y_j = H_i[j]; h1 is the last layer's one row.
+    Here rad is taken away from t and t - 1, which are divided out at
+    the end.  Terms with c_j = 0 or Y_j = 0 drop out, and for four branch
+    points at most two remain (the signature is at most 2).  Over F_p,
+    (Y^p)' = 0.  Proof, by cases:
       * No term: X = 0; for h1 that is the vanishing composite.
       * One term: X = c Y^p, so rad X = lcm(rad c, rad Y), and Y = H_i[j]
         is the sum over row j of layer i - 1 (rad H_0 = 1).
