@@ -580,9 +580,8 @@ def test_psi_closed_form_matches_every_real_entry():
     # in the context's branch order: every psi index of every chain
     # context of the M5-M9 data at p <= 7, and the psi entries of the
     # chains' first i0 steps at p = 11, 13.  Among them are entries with a
-    # zero exponent or n - b_1 outside 0..b_2 + b_3, which the closed form
-    # once left to the multivariate entry, and row-2 entries with b_1 = 0,
-    # which take the next gap
+    # zero exponent, entries with n - b_1 outside 0..b_2 + b_3, and row-2
+    # entries with b_1 = 0, which take the next gap
     seen, outside, zero_b, next_gap = set(), 0, 0, 0
     for ctx in _radical_chains():
         if ctx.p <= 7:
@@ -653,7 +652,7 @@ def test_psi_closed_form_on_arbitrary_exponents():
     assert set(outcomes) == {
         ("zero", 1), ("top gap", 1), ("zero", 2), ("top gap", 2), ("next gap", 2), ("refused", 2)
     }
-    # the row-2 window of the earlier closed form gave 0 here
+    # a row-2 tie with n < b_1, whose first coefficient is nonzero
     assert _psi_closed_form(PrimeField(11), (1, 1, 1, 8), 0, 2).coeffs == (2, 2)
 
 
