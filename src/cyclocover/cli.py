@@ -26,7 +26,6 @@ Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -62,6 +61,7 @@ from .monodromy import (
 )
 from .strata import (
     RecordCache,
+    canonical_json,
     census_csv,
     census_records,
     mu_ordinary_family,
@@ -155,7 +155,7 @@ def _emit(line: str) -> None:
 
 
 def _emit_json(obj) -> None:
-    _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    _emit(canonical_json(obj))
 
 
 def _multi_text(f: FpMultiPoly) -> str:

@@ -12,7 +12,7 @@ Dense products, division and gcd run on plain coefficient lists.  With
 M(n) the cost of one n-coefficient product, CPython's Karatsuba on a
 Kronecker-packed integer, so about n^1.58 word operations with a small
 constant:
-  - multiplication: M(n); term by term below 32 term pairs;
+  - multiplication: M(n) at every size;
   - division: one fused pass for a linear quotient; O(M(n)) by Newton
     inversion for a quotient of n >= 32 coefficients; schoolbook
     (quotient length times divisor length) otherwise;
@@ -22,6 +22,7 @@ constant:
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from array import array
@@ -52,6 +53,7 @@ def check_shift_budget(terms: int, budget: int) -> None:
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime_u64(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit inputs."""
     if n < 2:
@@ -113,9 +115,6 @@ class PrimeField:
 # empty); results are lists in the same form.  The thresholds below were
 # set by timing the kernels against each other (Python 3.11.7, x86-64).
 
-# Products of fewer term pairs than this are formed term by term; larger
-# ones by Kronecker substitution.
-_KRONECKER_MIN_PAIRS = 32
 # gcd runs plain Euclid below this many coefficients, half-gcd above.
 _HGCD_MIN = 500
 # The half-gcd recursion ends in Euclid with cofactors below this size.
@@ -139,14 +138,6 @@ def _mul_coeffs(a, b, p: int) -> list:
     min(len a, len b) * (p-1)^2, so slots never carry into each other."""
     if not a or not b:
         return []
-    if len(a) * len(b) < _KRONECKER_MIN_PAIRS:
-        out = [0] * (len(a) + len(b) - 1)
-        nzb = [(j, d) for j, d in enumerate(b) if d]
-        for i, c in enumerate(a):
-            if c:
-                for j, d in nzb:
-                    out[i + j] += c * d
-        return [c % p for c in out]
     n = len(a) + len(b) - 1
     size = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
     for width, code in _SLOT_CODES:
@@ -189,11 +180,11 @@ def _divrem_coeffs(a, b, p: int) -> tuple:
     A linear quotient, as in almost every Euclid step, takes one fused
     pass.  A quotient of n coefficients depends only on the top 2n - 1
     coefficients of a and the top n of b: from _NEWTON_MIN on it comes
-    from a power-series inverse, and when b is more than twice as long
-    from dividing the top parts alone; the remainder then costs one
-    product.  Otherwise each schoolbook quotient step adds a multiple of
-    the negated divisor to the running remainder in one comprehension,
-    reducing mod p only the leading coefficient it reads."""
+    from a power-series inverse of the reversed top of b, and the
+    remainder then costs one product.  Otherwise each schoolbook quotient
+    step adds a multiple of the negated divisor to the running remainder
+    in one comprehension, reducing mod p only the leading coefficient it
+    reads."""
     db = len(b) - 1
     n = len(a) - db
     if n <= 0:
@@ -206,13 +197,9 @@ def _divrem_coeffs(a, b, p: int) -> tuple:
         q0 = (a[-2] - q1 * b[-2]) * inv % p
         rem = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a[:db], b, chain((0,), b))]
         return [q0, q1], _trimmed(rem)
-    if n >= _NEWTON_MIN or (n > 2 and db >= 2 * n):
-        if n >= _NEWTON_MIN:
-            rev_q = _mul_coeffs(a[:-n - 1:-1], _inverse_series(b[:-n - 1:-1], n, p), p)[:n]
-            quot = [0] * (n - len(rev_q)) + rev_q[::-1]
-        else:
-            s = db - n + 1
-            quot = _divrem_coeffs(a[s:], b[s:], p)[0]
+    if n >= _NEWTON_MIN:
+        rev_q = _mul_coeffs(a[:-n - 1:-1], _inverse_series(b[:-n - 1:-1], n, p), p)[:n]
+        quot = [0] * (n - len(rev_q)) + rev_q[::-1]
         return quot, _sub_coeffs(a[:db], _mul_coeffs(quot, b, p)[:db], p)
     neg = [p - c for c in b[:-1]]
     rem = list(a)
@@ -239,13 +226,6 @@ def _inverse_series(f, n: int, p: int) -> list:
         g += [p - c if c else 0 for c in _mul_coeffs(g, err, p)[:k - done]]
         g += [0] * (k - len(g))
     return g
-
-
-def _euclid(a, b, p: int) -> list:
-    """Last nonzero remainder of Euclid's algorithm (not made monic)."""
-    while b:
-        a, b = b, _divrem_coeffs(a, b, p)[1]
-    return a
 
 
 _IDENTITY = ([1], [], [], [1])
@@ -318,16 +298,14 @@ def _hgcd(a, b, p: int) -> tuple:
 def _gcd_coeffs(a, b, p: int) -> list:
     """Monic gcd of two coefficient lists ([] when both are zero).
 
-    Euclid below _HGCD_MIN coefficients.  Above it, each half-gcd call
-    carries the larger operand's degree to about half, and one quotient
-    step brings the pair below it."""
+    Euclid's loop, one quotient step per pass.  From _HGCD_MIN
+    coefficients on, a pass whose divisor is more than half as long first
+    takes a half-gcd call, which carries the larger operand's degree to
+    about half."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        if len(a) < _HGCD_MIN:
-            a = _euclid(a, b, p)
-            break
-        if len(a) > len(b) > len(a) // 2:
+        if len(a) >= _HGCD_MIN and len(a) > len(b) > len(a) // 2:
             a, b = _apply(_hgcd(a, b, p), a, b, p)
             if not b:
                 break
@@ -447,19 +425,14 @@ class FpUniPoly:
 
     def __add__(self, other: "FpUniPoly") -> "FpUniPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return FpUniPoly(self.field, out)
+        return FpUniPoly._raw(self.field, _add_coeffs(self.coeffs, other.coeffs, self.field.p))
 
     def __sub__(self, other: "FpUniPoly") -> "FpUniPoly":
-        return self + (-other)
+        self._check(other)
+        return FpUniPoly._raw(self.field, _sub_coeffs(self.coeffs, other.coeffs, self.field.p))
 
     def __neg__(self) -> "FpUniPoly":
-        return FpUniPoly(self.field, [-c for c in self.coeffs])
+        return FpUniPoly._raw(self.field, _sub_coeffs((), self.coeffs, self.field.p))
 
     def __mul__(self, other: "FpUniPoly") -> "FpUniPoly":
         self._check(other)
@@ -507,20 +480,13 @@ class FpUniPoly:
 
     def derivative(self) -> "FpUniPoly":
         p = self.field.p
-        return FpUniPoly(self.field, [(i * c) % p for i, c in enumerate(self.coeffs)][1:])
+        return FpUniPoly._raw(self.field, _trimmed([i * c % p for i, c in enumerate(self.coeffs)][1:]))
 
     def evaluate(self, x: int) -> int:
         p = self.field.p
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % p
-        return acc
-
-    def compose(self, other: "FpUniPoly") -> "FpUniPoly":
-        self._check(other)
-        acc = FpUniPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * other + FpUniPoly.constant(self.field, c)
         return acc
 
     def valuation_at(self, c: int) -> int:
@@ -716,36 +682,13 @@ def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
 
 
 def is_irreducible(f: FpUniPoly) -> bool:
-    """Distinct-degree irreducibility test for monic f."""
+    """Whether f is irreducible: the first block of its distinct-degree
+    split comes at degree d = deg f.  A reducible f, squarefree or not,
+    has an irreducible factor of degree e <= deg f / 2, which divides
+    t^(p^e) - t, so its first block comes at d <= e."""
     if f.is_zero or f.degree == 0:
         return False
-    n = f.degree
-    if n == 1:
-        return True
-    p = f.field.p
-    t = FpUniPoly(f.field, [0, 1])
-    h = poly_powmod(t, p**n, f)
-    if h != t % f:
-        return False
-    for q in _prime_divisors(n):
-        h = poly_powmod(t, p ** (n // q), f)
-        if f.gcd(h - t).degree != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return next(_distinct_degree(f.monic()))[1] == f.degree
 
 
 class ExtField:
@@ -819,15 +762,8 @@ class ExtFieldElem:
         if self.is_zero:
             raise ZeroDivisionError("inverse of 0 in extension field")
         # Fermat: x^(p^d - 2)
-        e = self.ext.base.p**self.ext.d - 2
-        out = self.ext.from_base(1)
-        b = self
-        while e:
-            if e & 1:
-                out = out * b
-            b = b * b
-            e >>= 1
-        return out
+        ext = self.ext
+        return ExtFieldElem(ext, poly_powmod(self.rep, ext.base.p**ext.d - 2, ext.modulus))
 
     def to_json(self) -> dict:
         return {"degree": self.ext.d, "modulus": self.ext.modulus.to_json(), "value": self.rep.to_json()}

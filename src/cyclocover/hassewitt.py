@@ -118,7 +118,7 @@ from .ff import (
     poly_powmod,
     _squarefree_parts,
 )
-from .monodromy import MonodromyDatum, frobenius_orbits, signature
+from .monodromy import MonodromyDatum, signature
 
 KIND_PHI = "phi"
 KIND_PHI_DUAL = "phi_dual"
@@ -316,7 +316,6 @@ class OrbitContext:
         "base",
         "c0",
         "sig",
-        "orbit",
         "chars",
         "l",
         "i0",
@@ -374,9 +373,6 @@ class OrbitContext:
                 wchars.append((m - u) % m)
         self.kinds = tuple(kinds)
         self.chain_chars = tuple(wchars)
-        self.orbit = next(
-            o for o in frobenius_orbits(m, p, self.sig) if base in o.members
-        )
         if datum.r == 4:
             bs = branch_exponents(datum, p, self.c0)
             self.branch_order = next(

@@ -71,6 +71,12 @@ _LABELS = (LABEL_MU_ORDINARY, LABEL_W2, LABEL_W3, LABEL_BASIC, LABEL_NU)
 M7_FAMILY = MonodromyDatum(7, 4, (3, 1, 1, 2))
 
 
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every output line, cache key and cache
+    record: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Slope multiset (slope, multiplicity), slopes strictly increasing."""
@@ -305,7 +311,7 @@ class CensusReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_record(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_record())
 
 
 def census(
@@ -443,11 +449,9 @@ class RecordCache:
 
     @staticmethod
     def key(datum: MonodromyDatum, p: int) -> str:
-        payload = json.dumps(
+        payload = canonical_json(
             {"command": "census", "datum": [datum.m, datum.r, list(datum.a)],
-             "p": p, "version": __version__},
-            sort_keys=True,
-            separators=(",", ":"),
+             "p": p, "version": __version__}
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -461,8 +465,7 @@ class RecordCache:
         if self.path is None:
             return
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        line = json.dumps({"key": key, "record": record},
-                          sort_keys=True, separators=(",", ":"))
+        line = canonical_json({"key": key, "record": record})
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
 
@@ -553,10 +556,7 @@ class SurveyResult:
         return self.counts.get(kind, 0)
 
     def to_json_lines(self) -> str:
-        return "".join(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
-            for rec in self.records
-        )
+        return "".join(canonical_json(rec) + "\n" for rec in self.records)
 
     def to_csv(self) -> str:
         return census_csv(self.records)

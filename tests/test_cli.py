@@ -634,6 +634,25 @@ def test_chain_composites_are_byte_identical_to_the_recorded_digest(capsys, argv
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the human text of multivariate entries and composites (the only output
+# that goes through the multivariate text form), recorded before the
+# univariate kernels lost their second implementations
+
+MULTI_TEXT_SHA256 = [
+    ("hw phi 7:4:3,1,1,2 -p 13 --tau 3 --jp 1 --j 1", "b078eece3c1455652f461bfbd8cf0278dd148bd8c0f6d3258b6f465bc9a71cee"),
+    ("hw psi 7:4:3,1,1,2 -p 13 --tau 6 --jp 1 --j 1", "67f9940857e5fb4a5b00fc6bfd3039d5a9b61be4388d3f15279ad9e6f533d5a7"),
+    ("hw h0 7:4:3,1,1,2 -p 13 --b0 5", "6c5ba4d5a77ce5a8be39e4afc568bb1befa44f6b4dd1aa9b08903fac54dfc815"),
+    ("hw h0 5:4:1,1,1,2 -p 3 --b0 2", "3add1a60a55521c4b2fa7bc9d973d58394b810b7cd156553245cf0b1d2254094"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", MULTI_TEXT_SHA256)
+def test_multivariate_text_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # recorded while h1_radical still built h1 and took its squarefree
 # decomposition at the full degree: censuses of i0 = 3 chains (dims
 # (1, 2, 2, 1)), and witnesses on every chain of these data and primes

@@ -124,14 +124,16 @@ def test_coprime_shift():
         coprime_shift(FabcParams(0, 3, 1, 13))
 
 
-@given(params=admissible(primes=(7, 13, 29)))
-@settings(max_examples=300, deadline=None)
-def test_coprime_shift_always_true_under_hypotheses(params):
-    a, b, c, p = params.a, params.b, params.c, params.p
-    assume(a > 0 and b > 0 and c > 0 and c <= b)
-    assume(a + b <= p - 1 or c <= a + b - p + 1)
-    ok, _ = coprime_shift(params)
-    assert ok
+@pytest.mark.parametrize("p", [7, 13, 29])
+def test_coprime_shift_always_true_under_hypotheses(p):
+    # every admissible (a, b, c) with 0 < c <= b and either a + b <= p - 1
+    # or c <= a + b - p + 1
+    for a in range(1, p):
+        for b in range(1, p):
+            top = b if a + b <= p - 1 else min(b, a + b - p + 1)
+            for c in range(1, top + 1):
+                ok, _ = coprime_shift(FabcParams(a, b, c, p))
+                assert ok, (a, b, c, p)
 
 
 def test_separable_known():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -218,11 +219,7 @@ def test_sparse_forms_match_dense_oracle(p, ca, cb, k, kd):
     _assert_matches_dense(Dpk(prod, kd), field, _dense_dpk(both, qd, p))
 
 
-def test_compose_and_valuation():
-    # f = t^2 + 1, g = t + 3 over F_13: f(g) = t^2 + 6t + 10
-    f = FpUniPoly(F13, [1, 0, 1])
-    g = FpUniPoly(F13, [3, 1])
-    assert f.compose(g) == FpUniPoly(F13, [10, 6, 1])
+def test_valuation_at_known_values():
     h = FpUniPoly(F13, [0, 0, 0, 2, 2])  # 2t^3(t+1)
     assert h.valuation_at(0) == 3
     assert h.valuation_at(-1) == 1
@@ -261,6 +258,29 @@ def test_powmod():
     assert got == t % f  # t^(p^d) = t mod any degree-d irreducible
     assert is_irreducible(f)
     assert not is_irreducible(FpUniPoly(F13, [1, 1, 0, 1]))  # root at t=7
+
+
+def test_is_irreducible_matches_sympy():
+    # every monic polynomial of degree 1-5 over F_3, 1-4 over F_5 and 1-3
+    # over F_7, and 300 seeded random ones of degree 1-8 at each larger p
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    cases = [
+        (p, list(low) + [1])
+        for p, top in ((3, 5), (5, 4), (7, 3))
+        for d in range(1, top + 1)
+        for low in itertools.product(range(p), repeat=d)
+    ]
+    rng = random.Random(53)
+    for p in (13, 101, 4621):
+        for _ in range(300):
+            d = rng.randrange(1, 9)
+            cases.append((p, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]))
+    assert len(cases) == 2442
+    for p, coeffs in cases:
+        want = gf_irreducible_p([ZZ(c) for c in reversed(coeffs)], p, ZZ)
+        assert is_irreducible(FpUniPoly(PrimeField(p), coeffs)) == want, (p, coeffs)
 
 
 def test_factor_roundtrip_and_irreducibility():
