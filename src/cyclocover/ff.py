@@ -8,16 +8,21 @@ tuples to residues.  All values are immutable after construction; the
 randomized factorization steps take an explicit seed so runs are
 reproducible.
 
-Dense products, division and gcd run on plain coefficient lists.  With
+Dense products, division and gcd take plain coefficient lists.  With
 M(n) the cost of one n-coefficient product, CPython's Karatsuba on a
 Kronecker-packed integer, so about n^1.58 word operations with a small
 constant:
   - multiplication: M(n) at every size;
-  - division: one fused pass for a linear quotient; O(M(n)) by Newton
-    inversion for a quotient of n >= 32 coefficients; schoolbook
-    (quotient length times divisor length) otherwise;
-  - gcd: Euclid, O(n^2), below 500 coefficients; half-gcd,
-    O(M(n) log n), above.
+  - division: one fused pass for a linear quotient; for a quotient of
+    n >= 32 coefficients by a divisor of degree d, Newton inversion of
+    one series of length L <= max(d, 32), reused for each of the
+    ceil(n / max(d, 32)) equal blocks of the quotient, so O(M(n)) for
+    n <= d and O((n / d) M(d)) above; schoolbook (quotient length times
+    divisor length) otherwise;
+  - gcd: below 6,000 coefficients, Euclid on Kronecker-packed integers:
+    O(n^2) word operations in C, a handful of integer operations per
+    quotient term and per remainder, and no Python loop over
+    coefficients; from 6,000 on, half-gcd, O(M(n) log n).
 """
 
 from __future__ import annotations
@@ -115,17 +120,44 @@ class PrimeField:
 # empty); results are lists in the same form.  The thresholds below were
 # set by timing the kernels against each other (Python 3.11.7, x86-64).
 
-# gcd runs plain Euclid below this many coefficients, half-gcd above.
-_HGCD_MIN = 500
+# gcd runs Euclid on packed integers below this many coefficients,
+# half-gcd from here on (the two cost about the same from 4,000 to 10,000
+# coefficients; half-gcd wins above)
+_HGCD_MIN = 6000
 # The half-gcd recursion ends in Euclid with cofactors below this size.
 _HGCD_BASE = 100
 # Divisions with a quotient of at least this many coefficients find it by
-# Newton iteration.
+# Newton iteration, and gcd takes such a quotient on lists before packing.
 _NEWTON_MIN = 32
 
-_BYTE_ORDER = sys.byteorder
-# array typecodes of 1-, 2-, 4- and 8-byte unsigned slots
-_SLOT_CODES = tuple((array(code).itemsize, code) for code in "BHIQ")
+_BIG_ENDIAN = sys.byteorder == "big"
+# array typecodes of 1-, 2-, 4- and 8-byte unsigned slots, by size
+_SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _pack(coeffs, size: int) -> int:
+    """Kronecker packing: sum of coeffs[i] * 2^(8 size i), one size-byte
+    slot per coefficient, lowest degree in the lowest slot."""
+    code = _SLOT_CODES.get(size)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    slots = array(code, coeffs)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(x: int, n: int, size: int, p: int) -> list:
+    """The n lowest size-byte slots of x, lowest first, each reduced mod p."""
+    buf = x.to_bytes(n * size, "little")
+    code = _SLOT_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(buf[i:i + size], "little") % p for i in range(0, n * size, size)]
+    slots = array(code)
+    slots.frombytes(buf)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return [c % p for c in slots]
 
 
 def _mul_coeffs(a, b, p: int) -> list:
@@ -135,22 +167,16 @@ def _mul_coeffs(a, b, p: int) -> list:
     with a coefficient per fixed-width slot, CPython's Karatsuba multiplies
     the integers, and the product's slots hold the exact integer product
     coefficients, which are then reduced mod p.  A slot is wide enough for
-    min(len a, len b) * (p-1)^2, so slots never carry into each other."""
+    min(len a, len b) * (p-1)^2, so slots never carry into each other;
+    up to 8 bytes it is widened to an array item size."""
     if not a or not b:
         return []
-    n = len(a) + len(b) - 1
     size = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    for width, code in _SLOT_CODES:
-        if size <= width:
-            x = int.from_bytes(array(code, a).tobytes(), _BYTE_ORDER)
-            y = x if a is b else int.from_bytes(array(code, b).tobytes(), _BYTE_ORDER)
-            out = array(code)
-            out.frombytes((x * y).to_bytes(n * width, _BYTE_ORDER))
-            return [c % p for c in out]
-    x = int.from_bytes(b"".join([c.to_bytes(size, "little") for c in a]), "little")
-    y = x if a is b else int.from_bytes(b"".join([c.to_bytes(size, "little") for c in b]), "little")
-    buf = (x * y).to_bytes(n * size, "little")
-    return [int.from_bytes(buf[i:i + size], "little") % p for i in range(0, n * size, size)]
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()  # an array item size: 1, 2, 4 or 8
+    x = _pack(a, size)
+    y = x if a is b else _pack(b, size)
+    return _unpack(x * y, len(a) + len(b) - 1, size, p)
 
 
 def _trimmed(coeffs: list) -> list:
@@ -177,11 +203,15 @@ def _add_coeffs(a, b, p: int) -> list:
 def _divrem_coeffs(a, b, p: int) -> tuple:
     """Division of a by nonzero b: (quotient, remainder).
 
-    A linear quotient, as in almost every Euclid step, takes one fused
-    pass.  A quotient of n coefficients depends only on the top 2n - 1
-    coefficients of a and the top n of b: from _NEWTON_MIN on it comes
-    from a power-series inverse of the reversed top of b, and the
-    remainder then costs one product.  Otherwise each schoolbook quotient
+    A linear quotient takes one fused pass.  A block of l quotient
+    coefficients depends only on the top 2l - 1 coefficients of the
+    running remainder and the top l of b: from _NEWTON_MIN on, the
+    quotient is cut into equal blocks of L <= max(deg b, _NEWTON_MIN)
+    coefficients, one power-series inverse of the reversed top of b, of
+    length L, gives them one at a time from the top, and each block then
+    costs one product to update the remainder.  A short divisor thus
+    never pays for a series as long as the whole quotient.  Otherwise
+    each schoolbook quotient
     step adds a multiple of the negated divisor to the running remainder
     in one comprehension, reducing mod p only the leading coefficient it
     reads."""
@@ -198,9 +228,20 @@ def _divrem_coeffs(a, b, p: int) -> tuple:
         rem = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a[:db], b, chain((0,), b))]
         return [q0, q1], _trimmed(rem)
     if n >= _NEWTON_MIN:
-        rev_q = _mul_coeffs(a[:-n - 1:-1], _inverse_series(b[:-n - 1:-1], n, p), p)[:n]
-        quot = [0] * (n - len(rev_q)) + rev_q[::-1]
-        return quot, _sub_coeffs(a[:db], _mul_coeffs(quot, b, p)[:db], p)
+        # equal blocks of at most max(deg b, _NEWTON_MIN) coefficients
+        blocks = -(-n // max(db, _NEWTON_MIN))
+        block = -(-n // blocks)
+        inv_rev = _inverse_series(b[:-block - 1:-1], block, p)
+        quot = [0] * n
+        rem = list(a)
+        for top in range(n, 0, -block):
+            lo = max(0, top - block)
+            rev_q = _mul_coeffs(rem[:lo + db - 1:-1], inv_rev[:top - lo], p)[:top - lo]
+            quot[lo:top] = rev_q[::-1]
+            # the top - lo leading coefficients of rem cancel; keep the db below
+            low = _mul_coeffs(quot[lo:top], b, p)
+            rem[lo:] = [(x - y) % p for x, y in zip(rem[lo:lo + db], low)]
+        return quot, _trimmed(rem)
     neg = [p - c for c in b[:-1]]
     rem = list(a)
     quot = [0] * n
@@ -295,25 +336,93 @@ def _hgcd(a, b, p: int) -> tuple:
     )
 
 
+def _slot_layout(p: int, n: int) -> tuple:
+    """(size, X, M, burst, PAT) of the packed Euclid at p over n slots:
+    slot bytes, the shift and multiplier of the slot-wise Barrett step,
+    the most quotient terms between two reductions, and 2^(w - X) - 1 in
+    each of n slots of w = 8 size bits.  _gcd_coeffs proves the bound."""
+    k = p.bit_length()
+    size = (3 * k + 12) // 8
+    w = 8 * size
+    x = (w + k - 1) // 2
+    burst = ((1 << x) - 2 * p) // ((p - 1) * (2 * p - 1))
+    pat = ((1 << w * n) - 1) // ((1 << w) - 1) * ((1 << w - x) - 1)
+    return size, x, (1 << x) // p, burst, pat
+
+
+def _reduce_slots(v: int, p: int, x: int, m: int, pat: int) -> int:
+    """The slot-wise Barrett step: each slot of v below 2^x becomes the
+    value in [0, 2p) congruent to it mod p."""
+    return v - ((v * m >> x) & pat) * p
+
+
 def _gcd_coeffs(a, b, p: int) -> list:
     """Monic gcd of two coefficient lists ([] when both are zero).
 
-    Euclid's loop, one quotient step per pass.  From _HGCD_MIN
-    coefficients on, a pass whose divisor is more than half as long first
-    takes a half-gcd call, which carries the larger operand's degree to
-    about half."""
+    A pair of _HGCD_MIN coefficients or more, or one whose quotient has
+    _NEWTON_MIN coefficients or more, takes one step on lists and recurses
+    on the smaller pair: a half-gcd call first when the divisor is more
+    than half as long (it carries the degree to about half), then one
+    division (Newton's for a long quotient).  Every other pair runs
+    Euclid's loop on Kronecker-packed integers, so no Python loop runs
+    over coefficients until the gcd is unpacked.
+
+    Packing.  With k = bitlen(p), each coefficient takes a slot of
+    w = 8 ceil((3k + 5) / 8) bits.  A quotient term q at shift s adds
+    (p - q) * B << w s to A, so A's top slot becomes a multiple of p; it
+    and the other slots from deg B up are cut off once the quotient is
+    done.  Leading coefficients are read exactly, as slot % p, and top
+    slots that are 0 mod p are dropped from the remainder.
+
+    Reduction.  After each remainder every slot is brought back to
+    [0, 2p) at once by the slot-wise Barrett step
+    A -= (((A * M) >> X) & PAT) * p, with X = floor((w + k - 1) / 2),
+    M = floor(2^X / p) and PAT holding 2^(w - X) - 1 in every slot.  For
+    a slot value v < 2^X: vM <= v 2^X / p < 2^(2X - k + 1) <= 2^w, since
+    p > 2^(k-1) and 2X <= w + k - 1, so the slots of A * M do not overlap
+    and each slot of the shifted and masked product is exactly
+    floor(vM / 2^X) <= v / p.  As vM / 2^X >= v/p - v/2^X > v/p - 1,
+    v - floor(vM / 2^X) p lies in [0, 2p), and no slot borrows from the
+    next.
+
+    The slot bound.  Every slot of A and B starts below 2p, and each
+    quotient term adds at most (p - 1)(2p - 1) to a slot, so after c terms
+    a slot is below 2p + c (p - 1)(2p - 1).  That is below 2^X for
+    c <= burst = floor((2^X - 2p) / ((p - 1)(2p - 1))), and burst >= 2
+    because X >= 2k + 2 gives 2^X >= 4 p^2 > (2p - 1)^2 + 1: a linear
+    quotient never needs an extra reduction.  A longer quotient reduces A
+    after every burst terms (at p near 2^31 burst is 16)."""
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        if len(a) >= _HGCD_MIN and len(a) > len(b) > len(a) // 2:
-            a, b = _apply(_hgcd(a, b, p), a, b, p)
-            if not b:
-                break
-        a, b = b, _divrem_coeffs(a, b, p)[1]
+    if len(a) >= _HGCD_MIN and len(a) > len(b) > len(a) // 2:
+        a, b = _apply(_hgcd(a, b, p), a, b, p)
+    if b and (len(a) >= _HGCD_MIN or len(a) - len(b) >= _NEWTON_MIN):
+        return _gcd_coeffs(b, _divrem_coeffs(a, b, p)[1], p)
     if not a:
         return []
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+    size, x, m, burst, pat = _slot_layout(p, len(a))
+    w = 8 * size
+    slot = (1 << w) - 1
+    A, B = _pack(a, size), _pack(b, size)
+    da, db = len(a) - 1, len(b) - 1
+    while B:
+        inv = pow(B >> w * db, p - 2, p)
+        for s in range(da - db, -1, -1):
+            q = ((A >> w * (db + s)) & slot) * inv % p
+            if q:
+                A += (p - q) * B << w * s
+            if s and (da - db + 1 - s) % burst == 0:
+                A = _reduce_slots(A, p, x, m, pat)
+        A = _reduce_slots(A & (1 << w * db) - 1, p, x, m, pat)
+        dr = db - 1
+        while dr >= 0 and ((A >> w * dr) & slot) % p == 0:
+            dr -= 1
+        if dr < db - 1:
+            A &= (1 << w * (dr + 1)) - 1
+        A, B, da, db = B, A, db, dr
+    g = _unpack(A, da + 1, size, p)
+    inv = pow(g[-1], p - 2, p)
+    return [c * inv % p for c in g]
 
 
 def _divide_linear(coeffs, c: int, p: int) -> tuple:
@@ -837,24 +946,28 @@ class FpMultiPoly:
         if self.field != other.field or self.r != other.r:
             raise InvalidInput("incompatible multivariate polynomials")
 
-    def __add__(self, other: "FpMultiPoly") -> "FpMultiPoly":
+    def _plus(self, other: "FpMultiPoly", sign: int) -> "FpMultiPoly":
+        """self + sign * other in one pass over other's terms."""
         self._check(other)
         out = dict(self.terms)
         p = self.field.p
         for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % p
+            v = (out.get(e, 0) + sign * c) % p
             if v:
                 out[e] = v
             elif e in out:
                 del out[e]
         return FpMultiPoly(self.field, self.r, out)
 
+    def __add__(self, other: "FpMultiPoly") -> "FpMultiPoly":
+        return self._plus(other, 1)
+
     def __neg__(self) -> "FpMultiPoly":
         p = self.field.p
         return FpMultiPoly(self.field, self.r, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other: "FpMultiPoly") -> "FpMultiPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def scale(self, c: int) -> "FpMultiPoly":
         return FpMultiPoly(self.field, self.r, {e: v * c for e, v in self.terms.items()})

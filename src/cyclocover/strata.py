@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -423,29 +424,70 @@ def _is_census_record(rec) -> bool:
     )
 
 
+# the start of a line as RecordCache.put writes it, the key as group 1
+_CANONICAL_LINE = re.compile(rb'\{"key":"([0-9a-f]{64})","record":')
+
+
 class RecordCache:
     """Append-only JSON-lines store of census records.
 
     Inert when no cache_dir is configured.  Unreadable lines and records
     of the wrong shape are treated as misses, so a damaged file degrades
-    to recomputation, never to a wrong answer or a crash."""
+    to recomputation, never to a wrong answer or a crash.
+
+    Opening the file only indexes its lines by key; a line is parsed and
+    its record checked when its key is first looked up, so a census that
+    reads one record parses no other.  A line that starts as put writes
+    it, '{"key":"<64 hex>","record":', takes its key from that prefix
+    when no "k", backslash or carriage return follows, so no later member
+    can also be named key (JSON would let it win).  Any other stretch up
+    to a newline is split as a text-mode read splits it and each line
+    parsed at once to find its key.  For each key the last line holding a
+    valid record wins, and a later torn or invalid line does not hide an
+    earlier valid one."""
 
     def __init__(self, cache_dir: Optional[str]):
         self.path = os.path.join(cache_dir, "census-cache.jsonl") if cache_dir else None
         self._records: dict = {}
+        # key -> its lines not read yet, in file order: the (start, end)
+        # offsets of a canonical line in _data, or the object parsed to
+        # find the key
+        self._lines: dict = {}
+        self._data = b""
         if self.path and os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        obj = json.loads(raw)
-                    except ValueError:
-                        continue
-                    if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
-                            and _is_census_record(obj.get("record"))):
-                        self._records[obj["key"]] = obj["record"]
+            with open(self.path, "rb") as fh:
+                self._data = data = fh.read()
+            pos = 0
+            while pos < len(data):
+                end = data.find(b"\n", pos)
+                end = len(data) if end < 0 else end
+                head = _CANONICAL_LINE.match(data, pos, end)
+                if head and all(data.find(c, pos + 3, end) < 0 for c in (b"k", b"\\", b"\r")):
+                    self._lines.setdefault(head.group(1).decode(), []).append((pos, end))
+                else:
+                    # no newline inside: a carriage return ends a line, as
+                    # in a text-mode read
+                    for raw in data[pos:end].decode("utf-8").split("\r"):
+                        try:
+                            obj = json.loads(raw.strip())
+                        except ValueError:
+                            continue
+                        if isinstance(obj, dict) and isinstance(obj.get("key"), str):
+                            self._lines.setdefault(obj["key"], []).append(obj)
+                pos = end + 1
+
+    def _lookup(self, key: str) -> Optional[dict]:
+        """The record stored for key, reading its lines on first use."""
+        for line in reversed(self._lines.pop(key, ())):
+            if isinstance(line, tuple):
+                try:
+                    line = json.loads(self._data[line[0]:line[1]])
+                except ValueError:
+                    continue
+            if _is_census_record(line.get("record")):
+                self._records[key] = line["record"]
+                break
+        return self._records.get(key)
 
     @staticmethod
     def key(datum: MonodromyDatum, p: int) -> str:
@@ -456,10 +498,10 @@ class RecordCache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> Optional[dict]:
-        return self._records.get(key)
+        return self._lookup(key)
 
     def put(self, key: str, record: dict) -> None:
-        if key in self._records:
+        if self._lookup(key) is not None:
             return
         self._records[key] = record
         if self.path is None:

@@ -12,7 +12,7 @@ import pytest
 from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_config_file
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
-from cyclocover.ff import FpUniPoly
+from cyclocover.ff import FpUniPoly, is_prime_u64
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
 from cyclocover.monodromy import MonodromyDatum, canonicalize, parse_datum, signature
 from cyclocover.strata import census, prime_survey
@@ -590,6 +590,36 @@ def test_balanced_census_is_byte_identical_to_the_recorded_digest(capsys, argv, 
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# recorded while gcd still ran Euclid on coefficient lists: sha256 of the
+# stdout of every census of the survey-balanced benchmark (M7 at the first
+# 100 primes p = 1 mod 7) and every witness of witness-factor (M7 at the
+# primes p = +-1 mod 7 in [29, 400], b0 = 4, 5), one after the other
+
+def _stdout_digest(capsys, argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+def test_census_over_the_survey_primes_is_byte_identical_to_the_recorded_digest(capsys):
+    primes = [p for p in range(8, 4622, 7) if is_prime_u64(p)]
+    assert len(primes) == 100
+    argvs = [("census", M7, "-p", str(p), "-o", "json") for p in primes]
+    assert _stdout_digest(capsys, argvs) == (
+        "3ddefe87853d17d196dd8f82c7fe919d0fb700c8c8b7ba94bc8a256fafd53315")
+
+
+def test_witness_over_the_factor_cases_is_byte_identical_to_the_recorded_digest(capsys):
+    argvs = [("witness", M7, "-p", str(p), "--b0", str(b0), "--dmax", "4", "--seed", "7", "-o", "json")
+             for p in range(29, 401) if p % 7 in (1, 6) and is_prime_u64(p) for b0 in (4, 5)]
+    assert len(argvs) == 44
+    assert _stdout_digest(capsys, argvs) == (
+        "62c5b2ac80a46c87d50a1b3cf7aca671963700b0548d84ac48d18b067e6e5d2c")
 
 
 # recorded while witness still factored the whole stripped h1 and built

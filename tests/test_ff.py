@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclocover.errors import DegreeBudgetExceeded, InvalidInput, ParamOutOfRange
+from cyclocover import ff
 from cyclocover.fabc import Dpk
 from cyclocover.ff import (
     ExtField,
@@ -16,6 +17,10 @@ from cyclocover.ff import (
     _gcd_coeffs,
     _hgcd,
     _mul_coeffs,
+    _pack,
+    _reduce_slots,
+    _slot_layout,
+    _unpack,
     binomial_mod_p,
     eval_in_ext,
     factor,
@@ -410,6 +415,22 @@ def test_multipoly_mul_matches_evaluation():
             assert c.evaluate(pt) == a.evaluate(pt) * b.evaluate(pt) % 13
 
 
+def test_multipoly_sub_matches_add_of_negation():
+    rng = random.Random(38)
+    for _ in range(40):
+        r = rng.randrange(1, 4)
+        a, b = (
+            FpMultiPoly(F5, r, {tuple(rng.randrange(3) for _ in range(r)): rng.randrange(5)
+                                for _ in range(rng.randrange(0, 8))})
+            for _ in range(2)
+        )
+        diff = a - b
+        assert diff == a + (-b)
+        assert (a - a).is_zero and diff + b == a
+        pt = [rng.randrange(5) for _ in range(r)]
+        assert diff.evaluate(pt) == (a.evaluate(pt) - b.evaluate(pt)) % 5
+
+
 def test_multipoly_frobenius_pow():
     rng = random.Random(41)
     a = FpMultiPoly(F5, 2, {(1, 0): 2, (0, 2): 3, (1, 1): 1})
@@ -463,8 +484,10 @@ def test_text_and_json_forms():
 
 # ---------------------------------------------------------------------------
 # coefficient-list kernels against the schoolbook and Euclid oracles, at
-# sizes around each threshold (Kronecker products from 32 term pairs,
-# half-gcd from 500 coefficients, its Euclid base below 100)
+# sizes around each threshold (Newton division from a 32-coefficient
+# quotient, in blocks once the quotient outgrows the divisor; gcd on packed
+# integers below 6,000 coefficients and half-gcd from there, its Euclid
+# base below 100)
 
 KERNEL_PRIMES = (3, 5, 4621, 2**31 - 1)
 
@@ -513,13 +536,15 @@ def test_divrem_kernel_matches_schoolbook(p):
     # long, against divisors shorter and more than twice longer
     sizes = [(0, 3), (5, 1), (1500, 1), (40, 41), (41, 41), (42, 41), (43, 41), (52, 50),
              (61, 30), (61, 31), (81, 50), (100, 68), (100, 99), (101, 40), (500, 250),
-             (501, 499), (1000, 2), (1500, 700), (1400, 1300), (1600, 1400)]
+             (501, 499), (1000, 2), (1500, 700), (1400, 1300), (1600, 1400),
+             (20000, 741), (5000, 40)]
     for la, lb in sizes:
         a, b = _rand_coeffs(la, p, rng), _rand_coeffs(lb, p, rng)
         quot, rem = _divrem_coeffs(a, b, p)
         assert (quot, rem) == divrem_schoolbook(a, b, p), (la, lb)
-        # exact division leaves no remainder and gives the cofactor back
-        assert _divrem_coeffs(mul_schoolbook(a, b, p), b, p) == (a, []), (la, lb)
+        # exact division leaves no remainder and gives the cofactor back (the
+        # product kernel is checked against the schoolbook above)
+        assert _divrem_coeffs(_mul_coeffs(a, b, p), b, p) == (a, []), (la, lb)
 
 
 @given(
@@ -538,11 +563,12 @@ def test_divrem_kernel_property(p, la, lb, seed):
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_gcd_kernel_matches_euclid(p):
     rng = random.Random(p + 2)
-    # (cofactor a, cofactor b, planted common factor) lengths: around the
-    # half-gcd threshold, its Euclid base, equal degrees, a planted factor
-    # longer than both cofactors, and coprime pairs
-    cases = [(1, 1, 499), (1, 2, 499), (2, 1, 500), (301, 201, 200), (400, 400, 100),
-             (99, 101, 400), (1, 1, 1500), (700, 800, 1), (500, 500, 1), (1200, 300, 1)]
+    # (cofactor a, cofactor b, planted common factor) lengths: on both
+    # sides of the half-gcd threshold, its Euclid base, equal degrees, a
+    # planted factor longer than both cofactors, and coprime pairs
+    cases = [(1, 1, 5999), (1, 2, 5999), (2, 1, 6000), (2, 3, 6000), (301, 201, 200),
+             (400, 400, 100), (99, 101, 400), (1, 1, 1500), (700, 800, 1), (500, 500, 1),
+             (1200, 300, 1)]
     for la, lb, lc in cases:
         common = _rand_coeffs(lc, p, rng)
         a = mul_schoolbook(_rand_coeffs(la, p, rng), common, p)
@@ -572,6 +598,125 @@ def test_gcd_kernel_property(p, la, lb, lc, seed):
     a = mul_schoolbook(_rand_coeffs(la, p, rng), common, p)
     b = mul_schoolbook(_rand_coeffs(lb, p, rng), common, p)
     assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p)
+
+
+@pytest.mark.parametrize("p", (3, 4621, 2**31 - 1))
+def test_slot_barrett_step_at_the_slot_bound(p):
+    # every slot at the most a packed Euclid pass leaves there (2p - 1 plus
+    # burst quotient terms of (p - 1)(2p - 1)), at the most the Barrett
+    # step admits (2^X - 1), and mixed
+    n = 40
+    size, x, m, burst, pat = _slot_layout(p, n)
+    top = 2 * p - 1 + burst * (p - 1) * (2 * p - 1)
+    assert burst >= 2
+    assert top < 2**x <= top + (p - 1) * (2 * p - 1)  # burst terms fit, one more would not
+    if p == 2**31 - 1:
+        assert burst == 16
+    rng = random.Random(p + 5)
+    for slots in ([top] * n, [2**x - 1] * n, [2**x - 1, 0] * (n // 2),
+                  [rng.randrange(2**x) for _ in range(n)]):
+        # a modulus above every slot value unpacks the raw slots
+        got = _unpack(_reduce_slots(_pack(slots, size), p, x, m, pat), n, size, 1 << 8 * size)
+        assert all(v < 2 * p for v in got)
+        assert [v % p for v in got] == [v % p for v in slots]
+
+
+def _add_mod(a, b, p):
+    out = [(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _euclid_pair(quotient_lengths, g, p, rng):
+    """(a, b) whose Euclid quotients have the given lengths, first to last,
+    and whose last nonzero remainder is g."""
+    lower, upper = [], g
+    for n in reversed(quotient_lengths):
+        lower, upper = upper, _add_mod(mul_schoolbook(_rand_coeffs(n, p, rng), upper, p), lower, p)
+    return upper, lower
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_kernel_through_long_quotients_mid_sequence(p, monkeypatch):
+    # every Barrett step must see slots below 2^X, the bound it is proven for
+    size, x, *_ = _slot_layout(p, 1)
+    reduce_slots = ff._reduce_slots
+
+    def checked(v, *args):
+        n = -(-v.bit_length() // (8 * size))
+        assert max(_unpack(v, n, size, 1 << 8 * size), default=0) < 2**x
+        return reduce_slots(v, *args)
+
+    monkeypatch.setattr(ff, "_reduce_slots", checked)
+    # quotients of 3 to 41 terms between linear ones; at p = 2^31 - 1 the
+    # 20- and 41-term quotients pass the 16 terms one reduction admits
+    rng = random.Random(p + 6)
+    g = _rand_coeffs(5, p, rng)
+    for lengths in ([2, 3, 2, 5, 2, 2, 3], [1, 2, 2, 4, 2, 20, 2, 2, 41, 2, 3, 2]):
+        a, b = _euclid_pair(lengths, g, p, rng)
+        seq = remainder_sequence(a, b, p)
+        assert [len(x) - len(y) + 1 for x, y in zip(seq, seq[1:])] == lengths
+        assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p) == gcd_euclid(g, [], p)
+    # second, the quotient 1 + t + ... + t^119 by 100 coefficients p - 1:
+    # each slot takes 100 terms of at least (p - 1)^2
+    c = [p - 1] * 100
+    b = _add_mod(mul_schoolbook([1] * 120, c, p), _rand_coeffs(99, p, rng), p)
+    a = _add_mod(mul_schoolbook(_rand_coeffs(2, p, rng), b, p), c, p)
+    assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_gcd_kernel_through_degree_drops(p):
+    # at small p a remainder's top coefficients often vanish mod p, so its
+    # degree drops by two or more
+    rng = random.Random(p + 7)
+    drops = 0
+    for _ in range(30):
+        common = _rand_coeffs(rng.randrange(1, 20), p, rng)
+        a = mul_schoolbook(_rand_coeffs(rng.randrange(1, 150), p, rng), common, p)
+        b = mul_schoolbook(_rand_coeffs(rng.randrange(1, 150), p, rng), common, p)
+        seq = remainder_sequence(a, b, p)
+        drops += sum(len(x) - len(y) >= 2 for x, y in zip(seq[1:], seq[2:]))
+        assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p)
+    assert drops >= 30
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_kernel_with_every_coefficient_p_minus_1(p):
+    # every slot of both operands starts at its largest residue
+    rng = random.Random(p + 8)
+    for la, lb in ((300, 200), (301, 300), (97, 96), (40, 1)):
+        a, b = [p - 1] * la, [p - 1] * lb
+        assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p), (la, lb)
+    a = _rand_coeffs(400, p, rng)
+    assert _gcd_coeffs(a, [p - 1] * 150, p) == gcd_euclid(a, [p - 1] * 150, p)
+
+
+def test_gcd_kernel_after_a_long_first_quotient():
+    # the first quotient (about 2,900 terms) is taken by Newton division
+    # on lists; the rest of the sequence runs packed
+    p = 2**31 - 1
+    rng = random.Random(9)
+    common = _rand_coeffs(50, p, rng)
+    a = mul_schoolbook(_rand_coeffs(2950, p, rng), common, p)
+    b = mul_schoolbook(_rand_coeffs(12, p, rng), common, p)
+    g = _gcd_coeffs(a, b, p)
+    assert g == gcd_euclid(a, b, p) == _gcd_coeffs(b, a, p)
+    assert divrem_schoolbook(g, common, p)[1] == []
+
+
+def test_gcd_kernel_on_census_radical_pairs():
+    # census's gcd(rad_2, rad_3) of M7 at a seeded 25 of the first 100
+    # primes p = 1 mod 7, p = 4621 among them
+    from cyclocover.hassewitt import OrbitContext, h1_radical
+    from cyclocover.strata import M7_FAMILY
+
+    primes = [p for p in range(8, 4622, 7) if is_prime_u64(p)]
+    assert len(primes) == 100 and primes[-1] == 4621
+    for p in sorted(random.Random(10).sample(primes[:-1], 24) + [4621]):
+        rad2, rad3 = (list(h1_radical(OrbitContext(M7_FAMILY, p, b0)).coeffs) for b0 in (5, 4))
+        assert _gcd_coeffs(rad2, rad3, p) == gcd_euclid(rad2, rad3, p), p
 
 
 @pytest.mark.parametrize("p", (5, 4621))
@@ -614,7 +759,7 @@ def test_gcd_on_the_m7_composite():
     coeffs = list(f.coeffs)
     deriv = list(f.derivative().coeffs)
     assert _gcd_coeffs(coeffs, deriv, p) == gcd_euclid(coeffs, deriv, p) == [1]
-    # f^5 has degree above the half-gcd threshold; gcd(f^5, (f^5)') = f^4
+    # a long packed Euclid run: gcd(f^5, (f^5)') = f^4
     f5 = f * f * f * f * f
     assert f5.degree >= 500
     g = f5.gcd(f5.derivative())

@@ -537,6 +537,69 @@ def test_census_records_appends_misses_in_prime_order(tmp_path):
     assert census_records(M7_FAMILY, [71, 43, 29], cache=RecordCache(str(tmp_path))) == records
 
 
+def _eager_cache_read(path):
+    """Every record of a cache file as a reader that parses each line of a
+    text-mode read would find it: the last valid line for a key wins."""
+    records = {}
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            try:
+                obj = json.loads(raw.strip())
+            except ValueError:
+                continue
+            if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
+                    and strata._is_census_record(obj.get("record"))):
+                records[obj["key"]] = obj["record"]
+    return records
+
+
+def test_record_cache_reads_every_line_as_an_eager_reader_would(tmp_path, monkeypatch):
+    rec = {p: census(M7_FAMILY, p).to_json_record() for p in (29, 43, 71)}
+    k = [RecordCache.key(M7_FAMILY, p) for p in (29, 43, 71, 113, 127, 197, 211)]
+
+    def canonical(key, record):
+        return strata.canonical_json({"key": key, "record": record})
+
+    lines = [
+        canonical(k[0], rec[29]),
+        canonical(k[0], rec[43]),                       # same key twice: the later wins
+        canonical(k[1], rec[43]),
+        canonical(k[1], rec[71])[:-40],                 # torn: the earlier line stands
+        json.dumps({"record": rec[29], "key": k[2]}, indent=1).replace("\n", " "),
+        canonical(k[2], {"p": 1}),                      # invalid: the non-canonical line stands
+        canonical(k[3], rec[71]),
+        json.dumps({"key": k[3], "record": rec[29]}),   # non-canonical and later: it wins
+        canonical(k[4], rec[71])[:-1] + f',"key":"{k[5]}"}}',  # a later member names the key
+        '{"\\u006bey":"%s","record":%s}' % (k[6], json.dumps(rec[43])),
+        "",
+        "not json",
+        # a lone carriage return ends a line; leading blanks are not canonical
+        canonical(k[6], rec[29]) + "\r  " + canonical(k[0], rec[71]) + " \r",
+        canonical(k[6], rec[71])[:100],                 # torn last line, no newline
+    ]
+    path = tmp_path / "census-cache.jsonl"
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    want = _eager_cache_read(path)
+    assert want == {k[0]: rec[71], k[1]: rec[43], k[2]: rec[29], k[3]: rec[29],
+                    k[5]: rec[71], k[6]: rec[29]}
+    cache = RecordCache(str(tmp_path))
+    for key in k + ["0" * 64]:
+        assert cache.get(key) == want.get(key), key
+        assert cache.get(key) == want.get(key), key  # a second lookup reads the same
+
+    # put looks its key up without the public get, and appends only a miss
+    def no_get(self, key):
+        raise AssertionError("put called get")
+
+    cache = RecordCache(str(tmp_path))
+    monkeypatch.setattr(RecordCache, "get", no_get)
+    size = len(path.read_bytes())
+    cache.put(k[1], rec[29])
+    assert len(path.read_bytes()) == size
+    cache.put(k[4], rec[29])
+    assert path.read_text(encoding="utf-8").endswith(canonical(k[4], rec[29]) + "\n")
+
+
 def test_census_records_without_cache_is_census():
     assert census_records(M7_FAMILY, [29]) == [census(M7_FAMILY, 29).to_json_record()]
     with pytest.raises(ParamOutOfRange):
