@@ -22,7 +22,12 @@ constant:
   - gcd: below 6,000 coefficients, Euclid on Kronecker-packed integers:
     O(n^2) word operations in C, a handful of integer operations per
     quotient term and per remainder, and no Python loop over
-    coefficients; from 6,000 on, half-gcd, O(M(n) log n).
+    coefficients; from 6,000 on, half-gcd, O(M(n) log n);
+  - powmod mod f of degree n: below n = 512, square-and-multiply on
+    Kronecker-packed integers, each product reduced by a polynomial
+    Barrett step with one inverse series per call, so 3 M(n) and no
+    Python loop over coefficients per step; from 512 on, one product and
+    one division on lists per step.
 """
 
 from __future__ import annotations
@@ -129,6 +134,11 @@ _HGCD_BASE = 100
 # Divisions with a quotient of at least this many coefficients find it by
 # Newton iteration, and gcd takes such a quotient on lists before packing.
 _NEWTON_MIN = 32
+# poly_powmod runs on packed integers for moduli of degree 2 up to below
+# this, on lists from here on: its slots are up to twice as wide as a
+# list product's (64 against 32 bits at p = 2039), which from about 512
+# coefficients costs more than the list path's division does
+_POWMOD_PACKED_MAX = 512
 
 _BIG_ENDIAN = sys.byteorder == "big"
 # array typecodes of 1-, 2-, 4- and 8-byte unsigned slots, by size
@@ -336,13 +346,16 @@ def _hgcd(a, b, p: int) -> tuple:
     )
 
 
-def _slot_layout(p: int, n: int) -> tuple:
-    """(size, X, M, burst, PAT) of the packed Euclid at p over n slots:
-    slot bytes, the shift and multiplier of the slot-wise Barrett step,
-    the most quotient terms between two reductions, and 2^(w - X) - 1 in
-    each of n slots of w = 8 size bits.  _gcd_coeffs proves the bound."""
+def _slot_layout(p: int, n: int, top: int = 0) -> tuple:
+    """(size, X, M, burst, PAT) of a packed loop at p over n slots: slot
+    bytes, the shift and multiplier of the slot-wise Barrett step, the
+    most Euclid quotient terms between two reductions, and 2^(w - X) - 1
+    in each of n slots of w = 8 size bits.  2^X exceeds top and is at
+    least 2^(2k + 2), k = bitlen(p); w is the fewest whole bytes with
+    2X <= w + k - 1, which the Barrett step needs.  _gcd_coeffs (top = 0,
+    so w = 8 ceil((3k + 5) / 8)) and poly_powmod prove their bounds."""
     k = p.bit_length()
-    size = (3 * k + 12) // 8
+    size = (2 * max(2 * k + 2, top.bit_length()) - k + 8) // 8
     w = 8 * size
     x = (w + k - 1) // 2
     burst = ((1 << x) - 2 * p) // ((p - 1) * (2 * p - 1))
@@ -645,14 +658,77 @@ class FpUniPoly:
 
 
 def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
-    result = FpUniPoly.one(base.field)
-    base = base % mod
-    while e > 0:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    """base^e mod mod for an exponent e >= 0 (a negative one raises
+    ParamOutOfRange); e = 0 gives 1 for every nonzero mod, even a
+    constant one.
+
+    For n = deg mod from 2 up to below _POWMOD_PACKED_MAX the
+    square-and-multiply runs on Kronecker-packed integers (left to right,
+    each product then reduced mod f = mod), so no Python loop runs over
+    coefficients until the result is unpacked; other moduli take a loop
+    of FpUniPoly products and remainders.
+
+    Reduction.  A product a of two residues of degree < n has degree at
+    most 2n - 2; one below degree n needs no reduction mod f.  Otherwise,
+    with mu = t^(2n-2) div f, found once per call at the first product of
+    degree >= n, the quotient is Q = (a1 mu) div t^(n-2) for
+    a = a1 t^n + a0, deg a0 < n (polynomial Barrett reduction).  Proof:
+    write t^(2n-2) = mu f + rho and a1 mu = Q t^(n-2) + R, with
+    deg rho < n and deg R < n - 2.  Then
+    (a - Q f) t^(n-2) = a1 rho + a0 t^(n-2) + R f, each term of degree
+    at most 2n - 3, so deg(a - Q f) < n and a - Q f = a mod f.  Hence
+    a mod f = (a + Q (-f)) mod t^n, needing only the n low coefficients
+    of -f.  On packed integers div and mod by a power of t are shifts and
+    masks, which act slot by slot, so they commute with reducing the
+    slots mod p.
+
+    The slot bound.  The slot-wise Barrett step of _gcd_coeffs takes
+    slots below 2^X to [0, 2p), and _slot_layout makes 2^X > 6 n p^2.
+    Every packed residue has n slots in [0, 2p) (the base: [0, p)), and
+    mu and -f have slots in [0, p).  A product of two residues has slots
+    of at most n (2p - 1)^2 < 4 n p^2, and is reduced at once when its
+    degree is below n; else its high part a1 is reduced, a1 mu has slots
+    of at most (n - 1)(2p - 1)(p - 1) < 2 n p^2, and Q, reduced, has
+    slots in [0, 2p); a + Q (-f) then has slots below
+    4 n p^2 + 2 n p^2 = 6 n p^2 before its last reduction.  All these
+    are below 2^X <= 2^w, so no slot carries into the next, and each
+    value reduced has at most the n slots that PAT covers."""
+    if e < 0:
+        raise ParamOutOfRange(f"negative exponent {e}")
+    n = mod.degree
+    if n is None or not 2 <= n < _POWMOD_PACKED_MAX:
+        result = FpUniPoly.one(base.field)
+        base = base % mod
+        while e > 0:
+            if e & 1:
+                result = (result * base) % mod
+            base = (base * base) % mod
+            e >>= 1
+        return result
+    base._check(mod)
+    field, p, f = mod.field, mod.field.p, mod.coeffs
+    b = _divrem_coeffs(base.coeffs, f, p)[1]
+    if e == 0 or not b:
+        return FpUniPoly._raw(field, [1] if e == 0 else [])
+    size, x, m, _, pat = _slot_layout(p, n, 6 * n * p * p)
+    w = 8 * size
+    neg = _pack([p - c if c else 0 for c in f[:n]], size)
+    low = (1 << w * n) - 1
+    mu = None
+    B, db = _pack(b, size), len(b) - 1
+    R, dr = B, db
+    for bit in bin(e)[3:]:
+        # square, then multiply by the base where the bit is set
+        for y, dy in ((R, dr), (B, db)) if bit == "1" else ((R, dr),):
+            a, da = R * y, dr + dy
+            if da < n:
+                R, dr = _reduce_slots(a, p, x, m, pat), da
+                continue
+            if mu is None:
+                mu = _pack(_divrem_coeffs([0] * (2 * n - 2) + [1], f, p)[0], size)
+            q = _reduce_slots(_reduce_slots(a >> w * n, p, x, m, pat) * mu >> w * (n - 2), p, x, m, pat)
+            R, dr = _reduce_slots((a + q * neg) & low, p, x, m, pat), n - 1
+    return FpUniPoly._raw(field, _trimmed(_unpack(R, dr + 1, size, p)))
 
 
 def binomial_mod_p(n: int, k: int, p: int) -> int:

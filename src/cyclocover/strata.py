@@ -182,8 +182,8 @@ def basic_orbit(orbit: FrobeniusOrbit, sig) -> NewtonPolygon:
 
 
 def _orbit_sum(datum: MonodromyDatum, p: int, piece) -> NewtonPolygon:
-    """Sum of piece(orbit, sig) over the Frobenius orbits of the family."""
-    PrimeField(p)
+    """Sum of piece(orbit, sig) over the Frobenius orbits of the family at
+    p, which depend on p only mod m; callers validate p."""
     sig = signature(datum)
     return NewtonPolygon.from_slopes(
         part for orbit in frobenius_orbits(datum.m, p, sig) for part in piece(orbit, sig).parts
@@ -192,24 +192,29 @@ def _orbit_sum(datum: MonodromyDatum, p: int, piece) -> NewtonPolygon:
 
 def mu_ordinary_family(datum: MonodromyDatum, p: int) -> NewtonPolygon:
     """Generic polygon of the whole family: sum over all orbits."""
+    PrimeField(p)
     return _orbit_sum(datum, p, mu_ordinary_orbit)
 
 
 def basic_family(datum: MonodromyDatum, p: int) -> NewtonPolygon:
     """Bottom polygon of the whole family: sum of isoclinic orbit pieces."""
+    PrimeField(p)
     return _orbit_sum(datum, p, basic_orbit)
 
 
-def _stratum_polygon(datum: MonodromyDatum, p: int, vanishing: frozenset) -> NewtonPolygon:
+@functools.lru_cache(maxsize=1024)
+def _stratum_polygon(datum: MonodromyDatum, p_class: int, vanishing: frozenset) -> NewtonPolygon:
     """Polygon of the stratum where exactly the pairs named in `vanishing`
-    (by their representative min(c, m-c)) drop to the bottom piece."""
+    (by their representative min(c, m-c)) drop to the bottom piece, at the
+    primes p = p_class mod m.  It depends on nothing else, so it is
+    memoized by (datum, p mod m, vanishing); callers validate p."""
     m = datum.m
 
     def piece(orbit: FrobeniusOrbit, sig) -> NewtonPolygon:
         rep = min(min(c, m - c) for c in orbit.members)
         return (basic_orbit if rep in vanishing else mu_ordinary_orbit)(orbit, sig)
 
-    return _orbit_sum(datum, p, piece)
+    return _orbit_sum(datum, p_class, piece)
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def classify_m7(p: int, alpha, budget: int = DEFAULT_TERM_BUDGET) -> Classificat
         kind = LABEL_BASIC
     return Classification(
         label=StratumLabel(kind, 7, cls),
-        polygon=_stratum_polygon(M7_FAMILY, p, frozenset(vanishing)),
+        polygon=_stratum_polygon(M7_FAMILY, cls, frozenset(vanishing)),
     )
 
 
@@ -352,7 +357,7 @@ def census(
         dim=dim_sh,
         nonempty=True,
         certificate=None,
-        polygon=_stratum_polygon(datum, p, frozenset()),
+        polygon=_stratum_polygon(datum, cls, frozenset()),
     )
     if cls in (1, m - 1):
         rads = {c: h1_radical(OrbitContext(datum, p, m - c), budget) for c in reps}
@@ -380,7 +385,7 @@ def census(
                     dim=dim,
                     nonempty=nonempty,
                     certificate=cert_poly.to_text() if nonempty else None,
-                    polygon=_stratum_polygon(datum, p, vanishing),
+                    polygon=_stratum_polygon(datum, cls, vanishing),
                 )
             )
     else:
@@ -507,9 +512,15 @@ class RecordCache:
         if self.path is None:
             return
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        line = canonical_json({"key": key, "record": record})
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        line = canonical_json({"key": key, "record": record}) + "\n"
+        with open(self.path, "a+b") as fh:
+            # after a torn last line (a writer stopped mid-line), end it
+            # first, so the record starts a line of its own
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
 
 
 def _census_task(datum: MonodromyDatum, p: int, allow_small: bool, budget: int) -> dict:

@@ -80,6 +80,21 @@ def divrem_schoolbook(a, b, p):
     return trim(quot), trim(rem[:db])
 
 
+def powmod_schoolbook(base, e, f, p):
+    """base^e mod f over F_p for e >= 0 and a nonzero f, by right-to-left
+    square-and-multiply with the schoolbook product and division; e = 0
+    gives [1] whatever f is."""
+    result = [1]
+    base = divrem_schoolbook(base, f, p)[1]
+    while e:
+        if e & 1:
+            result = divrem_schoolbook(mul_schoolbook(result, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = divrem_schoolbook(mul_schoolbook(base, base, p), f, p)[1]
+    return result
+
+
 def remainder_sequence(a, b, p):
     """Euclid's remainders a, b, a mod b, ... over F_p, not made monic,
     up to the last nonzero one."""

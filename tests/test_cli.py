@@ -622,6 +622,23 @@ def test_witness_over_the_factor_cases_is_byte_identical_to_the_recorded_digest(
         "62c5b2ac80a46c87d50a1b3cf7aca671963700b0548d84ac48d18b067e6e5d2c")
 
 
+# recorded before poly_powmod ran on packed integers: the long-orbit
+# certificates reduce h mod W D and mod rad G through it
+
+def test_census_over_the_long_orbit_primes_is_byte_identical_to_the_recorded_digest(capsys):
+    primes = [p for p in range(31, 180) if p % 7 in (3, 4) and is_prime_u64(p)]
+    assert len(primes) == 11
+    argvs = [("census", M7, "-p", str(p), "-o", "json") for p in primes]
+    assert _stdout_digest(capsys, argvs) == (
+        "78cf4d12d3db309341c1433bf4e0758b7d749af6b50344ebfbde0861ce17530b")
+
+
+def test_long_orbit_census_at_107_is_byte_identical_to_the_recorded_digest(capsys):
+    argvs = [("census", "7:4:1,1,1,4", "-p", "107", "-o", "json")]
+    assert _stdout_digest(capsys, argvs) == (
+        "355300227a105e778ad5b7aaef430e28c1a57c24363b99e28925f40fcebe9afa")
+
+
 # recorded while witness still factored the whole stripped h1 and built
 # h1 a second time for the count
 

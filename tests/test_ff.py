@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -36,6 +38,7 @@ from oracles import (
     ext_roots,
     gcd_euclid,
     mul_schoolbook,
+    powmod_schoolbook,
     remainder_sequence,
     sympy_factor,
 )
@@ -765,3 +768,111 @@ def test_gcd_on_the_m7_composite():
     g = f5.gcd(f5.derivative())
     assert list(g.coeffs) == gcd_euclid(list(f5.coeffs), list(f5.derivative().coeffs), p)
     assert g == (f * f * f * f).monic()
+
+
+# ---------------------------------------------------------------------------
+# poly_powmod against the schoolbook square-and-multiply: packed for
+# moduli of degree 2 up to below _POWMOD_PACKED_MAX, on lists otherwise
+
+POWMOD_PRIMES = (3, 53, 4621, 2**31 - 1)
+
+
+def _powmod_exponents(p):
+    return (0, 1, 2, p, (p**4 - 1) // 2, 2**64 + 1)
+
+
+def _powmod_case(p, base, e, f):
+    field = PrimeField(p)
+    got = poly_powmod(FpUniPoly(field, base), e, FpUniPoly(field, f))
+    assert list(got.coeffs) == powmod_schoolbook(base, e, f, p), (p, len(base), e, len(f))
+
+
+@pytest.mark.parametrize("p", POWMOD_PRIMES)
+def test_powmod_matches_schoolbook(p):
+    # moduli of degree 0 and 1 (the list loop) and 2, 3 and 17 (packed),
+    # monic and not; bases of degree below, at and above deg f, and zero
+    rng = random.Random(p + 16)
+    for df in (0, 1, 2, 3, 17):
+        monic = [rng.randrange(p) for _ in range(df)] + [1]
+        for f in (monic, monic[:-1] + [rng.randrange(2, p)]):
+            for lb in (0, df, df + 1, 2 * df + 5):
+                base = _rand_coeffs(lb, p, rng)
+                for e in _powmod_exponents(p):
+                    _powmod_case(p, base, e, f)
+
+
+@given(
+    p=st.sampled_from(POWMOD_PRIMES),
+    df=st.integers(0, 40),
+    lb=st.integers(0, 85),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_powmod_property(p, df, lb, k, seed):
+    # k < 6 picks one of the fixed exponents, k = 6 a random one
+    rng = random.Random(seed)
+    e = _powmod_exponents(p)[k] if k < 6 else rng.randrange(2**70)
+    _powmod_case(p, _rand_coeffs(lb, p, rng), e, _rand_coeffs(df + 1, p, rng))
+
+
+def test_powmod_at_the_packed_threshold():
+    # the largest packed modulus and the smallest one on lists
+    rng = random.Random(17)
+    for df in (ff._POWMOD_PACKED_MAX - 1, ff._POWMOD_PACKED_MAX):
+        for p, e in ((3, 3), (2**31 - 1, 2)):
+            _powmod_case(p, _rand_coeffs(df, p, rng), e, _rand_coeffs(df + 1, p, rng))
+
+
+@pytest.mark.parametrize("p", POWMOD_PRIMES)
+def test_powmod_slots_stay_below_the_barrett_bound(p, monkeypatch):
+    # base and modulus with every coefficient p - 1 (so the modulus is not
+    # monic): every slot the Barrett step gets must be below the proven
+    # 6 n p^2, and so below 2^X
+    reduce_slots = ff._reduce_slots
+    for df, e in ((2, 2**64 + 1), (3, 2**64 + 1), (40, (p**4 - 1) // 2), (120, p)):
+        size, x, *_ = _slot_layout(p, df, 6 * df * p * p)
+
+        def checked(v, p_, x_, *args, size=size, x=x, top=6 * df * p * p):
+            n = -(-v.bit_length() // (8 * size))
+            assert x_ == x and max(_unpack(v, n, size, 1 << 8 * size), default=0) < min(top, 2**x)
+            return reduce_slots(v, p_, x_, *args)
+
+        monkeypatch.setattr(ff, "_reduce_slots", checked)
+        full = [p - 1] * (df + 1)
+        _powmod_case(p, full[:-1], e, full)
+        _powmod_case(p, full * 2, e, full)
+
+
+def test_powmod_rejects_a_negative_exponent():
+    t = FpUniPoly(F13, [0, 1])
+    for mod in ([2, 0, 0, 1], [3], [0, 1], [1] * (ff._POWMOD_PACKED_MAX + 1)):
+        with pytest.raises(ParamOutOfRange):
+            poly_powmod(t, -5, FpUniPoly(F13, mod))
+    # e = 0 gives 1, also for a constant modulus
+    for mod in ([3], [0, 1], [2, 0, 0, 1]):
+        assert poly_powmod(t, 0, FpUniPoly(F13, mod)) == FpUniPoly.one(F13)
+
+
+def test_ext_field_inverse_is_byte_identical_to_the_recorded_digest():
+    # 200 seeded nonzero elements of F_(p^d), d <= 4; recorded before
+    # poly_powmod ran on packed integers
+    rng = random.Random(1616)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        p = rng.choice((3, 5, 13, 53, 4621, 2**31 - 1))
+        d = rng.randint(1, 4)
+        field = PrimeField(p)
+        while True:
+            mod = FpUniPoly(field, [rng.randrange(p) for _ in range(d)] + [1])
+            if is_irreducible(mod):
+                break
+        ext = ExtField(field, mod, check=False)
+        while True:
+            x = ext.elem(FpUniPoly(field, [rng.randrange(p) for _ in range(d)]))
+            if not x.is_zero:
+                break
+        y = x.inv()
+        assert (x * y).rep.coeffs == (1,)
+        digest.update(json.dumps(y.to_json()).encode())
+    assert digest.hexdigest() == "23a0c91c331d23b71cff053dcc72c0c7364057325cf7bbc6f86ccfc0892b44fa"

@@ -17,7 +17,7 @@ from cyclocover.errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from cyclocover.ff import ExtField, FpUniPoly, PrimeField
+from cyclocover.ff import ExtField, FpUniPoly, PrimeField, is_prime_u64
 from cyclocover.hassewitt import (
     OrbitContext,
     h1,
@@ -598,6 +598,36 @@ def test_record_cache_reads_every_line_as_an_eager_reader_would(tmp_path, monkey
     assert len(path.read_bytes()) == size
     cache.put(k[4], rec[29])
     assert path.read_text(encoding="utf-8").endswith(canonical(k[4], rec[29]) + "\n")
+    # the put after the torn last line started a line of its own: a fresh
+    # cache reads it back, and every record it read before
+    monkeypatch.undo()
+    fresh = RecordCache(str(tmp_path))
+    assert {key: fresh.get(key) for key in k if fresh.get(key)} == {**want, k[4]: rec[29]}
+
+
+def test_stratum_polygons_memoized_by_residue_class():
+    # a stratum polygon depends only on the datum, p mod m and the
+    # vanishing pairs: the memoized one equals the polygon built afresh
+    # from the Frobenius orbits at each of four primes of every class
+    for datum in (D5, M7_FAMILY):
+        m = datum.m
+        sig = signature(datum)
+        reps = range(1, (m + 1) // 2)
+        subsets = [frozenset(s) for r in range(len(reps) + 1) for s in itertools.combinations(reps, r)]
+        for cls in range(1, m):
+            primes = [p for p in range(3 * m + 1, 600) if p % m == cls and is_prime_u64(p)]
+            for p in primes[:4]:
+                orbits = frobenius_orbits(m, p, sig)
+                for vanishing in subsets:
+                    fresh = NewtonPolygon.from_slopes(
+                        part for orbit in orbits
+                        for part in (basic_orbit if min(min(c, m - c) for c in orbit.members) in vanishing
+                                     else mu_ordinary_orbit)(orbit, sig).parts)
+                    assert strata._stratum_polygon(datum, cls, vanishing) == fresh, (m, p, vanishing)
+    # the census rows carry the same polygons
+    report = census(M7_FAMILY, 43)
+    assert [row.polygon for row in report.strata] == [
+        strata._stratum_polygon(M7_FAMILY, 1, frozenset(v)) for v in ((), (3,), (2,), (2, 3))]
 
 
 def test_census_records_without_cache_is_census():
