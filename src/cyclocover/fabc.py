@@ -2,8 +2,10 @@
 
 Everything the stratum computations need from these polynomials comes
 down to a handful of exact laws: where the roots at 0 and 1 sit, how to
-strip them off, when two members share a factor, and a divided-power
-derivative D_{p^k} for valuation bookkeeping.
+strip them off, when two members share a factor, the gcd of two
+symmetric members f(a,a,c) at half the degree (Kummer's quadratic
+transformation, fabc_gcd), and a divided-power derivative D_{p^k} for
+valuation bookkeeping.
 """
 
 from __future__ import annotations
@@ -11,7 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, ParamOutOfRange
-from .ff import FpMultiPoly, FpUniPoly, PrimeField, is_prime_u64
+from .ff import (
+    FpMultiPoly,
+    FpUniPoly,
+    PrimeField,
+    is_prime_u64,
+    _gcd_coeffs,
+    _pack,
+    _reduce_slots,
+    _slot_layout,
+    _unpack,
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,132 @@ def coprime_shift(params: FabcParams) -> tuple:
         raise HypothesisNotMet("need a+b <= p-1 or c <= a+b-p+1")
     g = fabc(params).gcd(fabc(FabcParams(a, b, c - 1, p)))
     return g.degree == 0, g
+
+
+def _kummer_coeffs(a: int, c: int, p: int) -> list:
+    """r_0, ..., r_D (D = c // 2) of fabc_gcd's docstring, for c <= a < p:
+    r_0 = 1 and r_{j+1} = r_j (c - 2j)(c - 2j - 1) / ((j + 1)(a - c + j + 1)),
+    with the D denominators inverted by one pow."""
+    d = c // 2
+    num, den = [1] * (d + 1), [1] * (d + 1)
+    for j in range(d):
+        num[j + 1] = num[j] * (c - 2 * j) * (c - 2 * j - 1) % p
+        den[j + 1] = den[j] * (j + 1) * (a - c + j + 1) % p
+    inv = pow(den[d], p - 2, p)
+    for j in range(d, 0, -1):
+        # inv is 1 / den[j]; den[j] = den[j - 1] * j * (a - c + j)
+        num[j] = num[j] * inv % p
+        inv = inv * j * (a - c + j) % p
+    return num
+
+
+def _homogenize(g, p: int) -> list:
+    """Coefficients of sum_k g_k t^k (1 + t)^(2(n - 1 - k)), n = len(g).
+
+    Divide and conquer over binomial rows: for a block of 2h coefficients,
+    H(g_0..g_{2h-1}) = (1 + t)^(2h) H(g_0..g_{h-1}) + t^h H(g_h..g_{2h-1}).
+    g is padded in front to N = 2^L coefficients, which multiplies H by
+    t^(N - n), and the L levels run bottom up on one Kronecker-packed
+    integer.  At level l, block i holds H of 2^l coefficients in
+    2^(l+1) - 1 slots from slot i 2^(l+1).  One product by the packed row
+    (1 + t)^(2^(l+1)) takes the low block of every pair at once, without
+    overlap (each product has 2^(l+2) - 1 slots), the high blocks move
+    down by 2^l slots, and the next row is the square of this one.
+
+    The slot bound.  _slot_layout makes 2^X > 4 (N + 2) p^2, and the
+    slot-wise Barrett step of _gcd_coeffs brings each slot below 2^X back
+    to [0, 2p) after every level and every square.  A product of the row
+    and a low block, or of the row and itself, sums at most
+    2^(l+1) + 1 <= N + 1 products below 4 p^2 in a slot, and a high slot
+    below 2p is added, so every slot stays below 4 (N + 2) p^2 < 2^X, and
+    no value spans more than the 2N - 1 slots PAT covers."""
+    n = len(g)
+    if n == 1:
+        return list(g)
+    levels = (n - 1).bit_length()
+    width = 1 << levels
+    pad = width - n
+    size, x, m, _, pat = _slot_layout(p, 2 * width - 1, 4 * (width + 2) * p * p)
+    w = 8 * size
+    slots = [0] * (2 * width - 1)
+    slots[2 * pad::2] = g
+    acc = _pack(slots, size)
+    row = 1 | 2 << w | 1 << 2 * w  # (1 + t)^2
+    for level in range(levels):
+        half = 1 << level
+        low = int.from_bytes((b"\xff" * (size * 2 * half) + bytes(size * 2 * half)) * (width >> level + 1), "little")
+        lo = acc & low
+        acc = _reduce_slots(row * lo + ((acc - lo) >> w * half), p, x, m, pat)
+        if level + 1 < levels:
+            row = _reduce_slots(row * row, p, x, m, pat)
+    return _unpack(acc >> w * pad, 2 * n - 1, size, p)
+
+
+def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
+    """Monic gcd of f(p1) and f(p2).
+
+    When both are symmetric, a = b with c <= a (strip leaves c <= b, so a
+    reduced f(a,a,c) is one), the gcd comes from Euclid at degree about
+    c / 2 by Kummer's
+    quadratic transformation (DLMF 15.8.13); every other pair takes the
+    generic FpUniPoly.gcd, which is also the law's test oracle.  Proof,
+    with D = floor(c / 2), X = 4t, Y = (1 + t)^2:
+      * f(a,a,c) is the coefficient of x^c in
+        (1 + x)^a (1 + t x)^a = (1 + (1 + t) x + t x^2)^a.  Picking j
+        factors t x^2, c - 2j factors (1 + t) x and a - c + j factors 1
+        (c <= a makes every count >= 0 for j <= D), the multinomial
+        theorem gives over Z
+            f(a,a,c) = sum_{j<=D} a! / (j! (c-2j)! (a-c+j)!) t^j (1+t)^(c-2j)
+                     = C(a,c) (1 + t)^(c-2D) Y^D Q(X / Y),
+        with Q(w) = sum_{j<=D} q_j w^j and
+            q_j = c! (a-c)! / (4^j j! (c-2j)! (a-c+j)!)
+                = (-c/2)_j ((1-c)/2)_j / ((a-c+1)_j j!),
+        since (-c/2)_j ((1-c)/2)_j = 4^-j prod_{i<2j} (i - c) = 4^-j c! / (c-2j)!
+        and (a-c+1)_j = (a-c+j)! / (a-c)!.  This is Kummer's identity
+        for the terminating 2F1(-a, -c; a-c+1; t) = f(a,a,c) / C(a,c).
+      * Every factorial above has argument at most a - c + D <= a < p, so
+        for c <= a < p the identity holds over F_p with every denominator
+        a unit.  With r_j = 4^j q_j (the coefficients of Q(4u)),
+        r_0 = 1 and r_{j+1} / r_j = (c-2j)(c-2j-1) / ((j+1)(a-c+j+1)), so
+        Q is built in O(D) with one batched inverse (_kummer_coeffs).
+      * Q(0) = q_0 = 1, and q_D is a product of units, so deg Q = D.  Over
+        an algebraic closure Q = q_D prod_i (w - w_i)^(m_i) with distinct
+        w_i != 0, so Y^D Q(X/Y) = q_D prod_i P_i^(m_i) with
+        P_i = X - w_i Y = 4t - w_i (1 + t)^2, a quadratic in t (its t^2
+        coefficient is -w_i).  A common root s of P_i and
+        P_k would give w_i = 4s / (1 + s)^2 = w_k (s = -1 is a root of
+        neither, as P(-1) = -4), so distinct w give coprime quadratics,
+        and 1 + t is prime to each.
+      * Hence, with f(p_k) = C_k (1 + t)^(v_k) prod_i P_i^(m_ki) and
+        v_k = c_k - 2 D_k = c_k mod 2, the gcd is
+        (1 + t)^(min(v_1, v_2)) prod_i P_i^(min(m_1i, m_2i)).  With
+        G = gcd(Q_1, Q_2) of degree e, prod_i P_i^(min) is Y^e G(X/Y) up to
+        a unit; taking G with G(0) = 1 (G divides Q_1, so G(0) != 0)
+        makes it monic, as its t^(2e) coefficient is G(0).  So
+            gcd_t = (1 + t)^[c_1, c_2 both odd] Y^e G(X / Y),
+        and Euclid runs on Q_1, Q_2 of degree D_k, about c / 2.
+    G is found as gcd(r_1, r_2), the same gcd with w = 4u, and
+    Y^e G(X/Y) = sum_j g_j t^j (1 + t)^(2(e-j)) for G(4u) = sum_j g_j u^j
+    (_homogenize).  When G is all of one Q_k (e = D_k), the gcd is instead
+    f(p_k) made monic, divided by 1 + t when c_k is odd and the other c
+    even: one closed form in linear time in place of the build."""
+    if p1.p != p2.p or not all(q.a == q.b and q.c <= q.a for q in (p1, p2)):
+        return fabc(p1).gcd(fabc(p2))
+    p = p1.p
+    r1, r2 = _kummer_coeffs(p1.a, p1.c, p), _kummer_coeffs(p2.a, p2.c, p)
+    g = _gcd_coeffs(r1, r2, p)
+    odd = p1.c % 2 == 1 and p2.c % 2 == 1
+    for q, r in ((p1, r1), (p2, r2)):
+        if len(g) == len(r):
+            f = fabc(q)
+            if q.c % 2 == 1 and not odd:
+                f = f.strip_root(-1)[1]
+            return f.monic()
+    inv = pow(g[0], p - 2, p)
+    h = _homogenize([c * inv % p for c in g], p)
+    if odd:
+        h = [(x + y) % p for x, y in zip(h + [0], [0] + h)]
+    return FpUniPoly._raw(PrimeField(p), h)
 
 
 def separable_away_from_01(f: FpUniPoly) -> bool:

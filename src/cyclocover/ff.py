@@ -665,8 +665,10 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     For n = deg mod from 2 up to below _POWMOD_PACKED_MAX the
     square-and-multiply runs on Kronecker-packed integers (left to right,
     each product then reduced mod f = mod), so no Python loop runs over
-    coefficients until the result is unpacked; other moduli take a loop
-    of FpUniPoly products and remainders.
+    coefficients until the result is unpacked; other moduli take the same
+    left-to-right loop on FpUniPoly products and remainders, so either
+    way e costs bitlen(e) - 1 squarings and one product per further set
+    bit.
 
     Reduction.  A product a of two residues of degree < n has degree at
     most 2n - 2; one below degree n needs no reduction mod f.  Otherwise,
@@ -697,13 +699,14 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
         raise ParamOutOfRange(f"negative exponent {e}")
     n = mod.degree
     if n is None or not 2 <= n < _POWMOD_PACKED_MAX:
-        result = FpUniPoly.one(base.field)
         base = base % mod
-        while e > 0:
-            if e & 1:
+        if e == 0:
+            return FpUniPoly.one(base.field)
+        result = base
+        for bit in bin(e)[3:]:
+            result = (result * result) % mod
+            if bit == "1":
                 result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
         return result
     base._check(mod)
     field, p, f = mod.field, mod.field.p, mod.coeffs

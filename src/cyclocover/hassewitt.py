@@ -880,15 +880,25 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     below 2p and 4p, and on G at the degree of H_{i0-1}, about deg h1 / p.
     Finally t and t - 1 are divided out; the radical is unique, so this
     is the radical of the stripped h1."""
+    return h1_radical_params(ctx, budget)[0]
+
+
+def h1_radical_params(
+    ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET
+) -> tuple:
+    """(h1_radical(ctx, budget), P): P = strip(h1_fabc_params(ctx)).reduced
+    when h1 is one nonzero phi entry, so that the radical is f(P) made
+    monic, and None for every other chain shape."""
     params = h1_fabc_params(ctx, budget)
     if params is not None:
-        return fabc(strip(params).reduced).monic()
+        reduced = strip(params).reduced
+        return fabc(reduced).monic(), reduced
     rad = _layers_radical(_budgeted_chain(ctx, budget))
     if rad is None:
         raise HypothesisNotMet(
             "chain composite vanishes identically; every parameter is a witness"
         )
-    return rad
+    return rad, None
 
 
 def _layers_radical(layers) -> Optional[FpUniPoly]:

@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
-from .fabc import fabc
+from .fabc import fabc, fabc_gcd
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtFieldElem,
@@ -58,6 +58,7 @@ from .hassewitt import (
     branch_exponents,
     h1,
     h1_radical,
+    h1_radical_params,
     _phi_fabc_params,
 )
 from .monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, signature, _is_int
@@ -330,11 +331,16 @@ def census(
 
     For p = +-1 mod m each balanced pair's chain polynomial phi_c is
     stripped of its roots at 0 and 1 and reduced to its radical, read off
-    the f(a,b,c) closed form (hassewitt.h1_radical); the strata then read
-    off gcds: a pattern is realized exactly when the matching cofactor has
-    positive degree.  Other congruence classes get the two-row generic /
-    non-generic report, certified by the radical of the anchor chain's
-    composite, taken from the chain's last layer (hassewitt.h1_radical)."""
+    the f(a,b,c) closed form (hassewitt.h1_radical_params); the strata
+    then read off gcds: a pattern is realized exactly when the matching
+    cofactor has positive degree.  For M7's two pairs the Basic
+    certificate is the gcd of the two radicals and the W2 / W3
+    certificates its cofactors; when both radicals are symmetric,
+    f(a,a,c), the gcd is taken at half their degree (fabc.fabc_gcd),
+    otherwise by FpUniPoly.gcd.  Other congruence classes get the two-row
+    generic / non-generic report, certified by the radical of the anchor
+    chain's composite, taken from the chain's last layer
+    (hassewitt.h1_radical)."""
     if datum.r != 4 or datum.m not in (5, 7):
         raise UnsupportedFamily(
             f"census needs r=4 and m in {{5, 7}}: got m={datum.m}, r={datum.r}"
@@ -360,18 +366,23 @@ def census(
         polygon=_stratum_polygon(datum, cls, frozenset()),
     )
     if cls in (1, m - 1):
-        rads = {c: h1_radical(OrbitContext(datum, p, m - c), budget) for c in reps}
+        found = {c: h1_radical_params(OrbitContext(datum, p, m - c), budget) for c in reps}
         if m == 7 and reps == [2, 3]:
-            g = rads[2].gcd(rads[3])
-            w2_cof = (rads[3] // g).monic()
-            w3_cof = (rads[2] // g).monic()
+            (rad2, q2), (rad3, q3) = found[2], found[3]
+            g = rad2.gcd(rad3) if q2 is None or q3 is None else fabc_gcd(q2, q3)
+            # g and the radicals are monic, so each quotient is too; no
+            # division when g is 1 or the radical itself
+            one = FpUniPoly.one(g.field)
+            w2_cof, w3_cof = (
+                rad if g.degree == 0 else one if rad == g else rad // g for rad in (rad3, rad2)
+            )
             rows = [
                 (LABEL_W2, dim_sh - 1, w2_cof, frozenset({3})),
                 (LABEL_W3, dim_sh - 1, w3_cof, frozenset({2})),
                 (LABEL_BASIC, dim_sh - 2, g, frozenset({2, 3})),
             ]
         elif len(reps) == 1:
-            rows = [(LABEL_BASIC, dim_sh - 1, rads[reps[0]], frozenset({reps[0]}))]
+            rows = [(LABEL_BASIC, dim_sh - 1, found[reps[0]][0], frozenset({reps[0]}))]
         else:
             raise UnsupportedFamily(
                 f"no stratum labels for {len(reps)} balanced pairs (m={m})"

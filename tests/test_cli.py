@@ -639,6 +639,27 @@ def test_long_orbit_census_at_107_is_byte_identical_to_the_recorded_digest(capsy
         "355300227a105e778ad5b7aaef430e28c1a57c24363b99e28925f40fcebe9afa")
 
 
+# recorded while the census took gcd(rad_2, rad_3) of M7-type data at the
+# full degree of the radicals: the odd-c class 6 survey (the gcd carries a
+# factor 1 + t), a datum whose radicals are both f(a,a,c), and two whose
+# radicals are f(a,a,c) for one pair only
+
+def _census_argvs(datum, count):
+    primes = [p for p in range(22, 5000) if p % 7 in (1, 6) and is_prime_u64(p)][:count]
+    return [("census", datum, "-p", str(p), "-o", "json") for p in primes]
+
+
+@pytest.mark.parametrize("argvs,digest", [
+    ([("survey", M7, "--class", "6", "--count", "100", "-o", "json")],
+     "9bebe840b15c70ac74be37893e46f8d3e257921a58b5fc0bac45c132578f95a4"),
+    (_census_argvs("7:4:2,1,1,3", 40), "46cf5dfc1ecc59baca196e538d2d0a4f08e8732bb1a5d34ca5a2d7b4a8ea65c9"),
+    (_census_argvs("7:4:2,1,3,1", 20), "7ca668b28ed22cb1da4e59682cd1ecba718aa33fd4988ad5af73255c8618f156"),
+    (_census_argvs("7:4:3,1,2,1", 20), "2c0139cdf296740ee141de73d91a2e1335b581dea01fa7699bec50d20bce09a3"),
+])
+def test_symmetric_census_gcd_is_byte_identical_to_the_recorded_digest(capsys, argvs, digest):
+    assert _stdout_digest(capsys, argvs) == digest
+
+
 # recorded while witness still factored the whole stripped h1 and built
 # h1 a second time for the count
 

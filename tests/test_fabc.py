@@ -1,21 +1,27 @@
+import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclocover.errors import HypothesisNotMet, ParamOutOfRange
+from cyclocover.errors import HypothesisNotMet, InvalidInput, ParamOutOfRange
 from cyclocover.fabc import (
     Dpk,
     Dpk_multi,
     FabcParams,
+    _homogenize,
+    _kummer_coeffs,
     coprime_shift,
     fabc,
+    fabc_gcd,
     fabc_profile,
     proportionality_obstruction,
     separable_away_from_01,
     strip,
 )
-from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField
+from cyclocover import fabc as fabc_module
+from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, _slot_layout, _unpack
 
 from oracles import FROZEN, fabc_brute
 
@@ -266,3 +272,142 @@ def test_fabc_factorial_tables_match_brute_oracle_large_p(p, a, b, frac):
     a, b = a % p, b % p
     c = round(frac * (a + b))
     assert fabc(FabcParams(a, b, c, p)).to_json() == fabc_brute(a, b, c, p)
+
+
+# ---------------------------------------------------------------------------
+# Kummer's quadratic transformation: f(a,a,c) at half the degree
+
+
+def _homogenized_oracle(g, p):
+    """sum_k g_k t^k (1 + t)^(2(n - 1 - k)), n = len(g), term by term."""
+    n = len(g)
+    out = [0] * (2 * n - 1)
+    for k, gk in enumerate(g):
+        for i in range(2 * (n - 1 - k) + 1):
+            out[k + i] += gk * math.comb(2 * (n - 1 - k), i)
+    return [c % p for c in out]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29])
+def test_kummer_form_matches_fabc(p):
+    # every (a, a, c) with c <= a < p: c = 0, odd and even c, 2a >= p
+    field = PrimeField(p)
+    one_t = FpUniPoly(field, [1, 1])
+    half = pow(2, p - 2, p)
+    for a in range(p):
+        for c in range(a + 1):
+            d = c // 2
+            r = _kummer_coeffs(a, c, p)
+            assert len(r) == d + 1 and r[0] == 1 and r[d] != 0
+            # r_j = 4^j q_j, q_j = (-c/2)_j ((1-c)/2)_j / ((a-c+1)_j j!)
+            q = 1
+            for j in range(d + 1):
+                assert r[j] == pow(4, j, p) * q % p, (a, c, j)
+                num = (-c * half + j) * ((1 - c) * half + j)
+                q = q * num * pow((a - c + 1 + j) * (j + 1), p - 2, p) % p
+            # f(a,a,c) = C(a,c) (1+t)^(c-2D) sum_j r_j t^j (1+t)^(2(D-j))
+            y_form = FpUniPoly(field, _homogenized_oracle(r, p))
+            kummer = y_form * one_t if c % 2 else y_form
+            assert fabc(FabcParams(a, a, c, p)) == kummer.scale(math.comb(a, c)), (a, c)
+            assert _homogenize(r, p) == _homogenized_oracle(r, p)
+
+
+@given(
+    p=st.sampled_from((3, 5, 4621, 2**31 - 1)),
+    coeffs=st.lists(st.integers(0, 2**31), min_size=1, max_size=140),
+)
+@settings(max_examples=120, deadline=None)
+def test_homogenize_matches_oracle(p, coeffs):
+    # any length, also not a power of two, and any residues (g_0 = 0 too)
+    g = [c % p for c in coeffs]
+    assert _homogenize(g, p) == _homogenized_oracle(g, p)
+
+
+@pytest.mark.parametrize("p", [3, 53, 4621, 2**31 - 1])
+def test_homogenize_slots_stay_below_the_barrett_bound(p, monkeypatch):
+    # every coefficient p - 1: each slot the Barrett step gets must be
+    # below the proven 4 (N + 2) p^2, and so below 2^X
+    reduce_slots = fabc_module._reduce_slots
+    for n in (2, 3, 5, 64, 65, 300):
+        width = 1 << (n - 1).bit_length()
+        top = 4 * (width + 2) * p * p
+        size, x, *_ = _slot_layout(p, 2 * width - 1, top)
+
+        def checked(v, p_, x_, *args, size=size, x=x, top=top):
+            slots = -(-v.bit_length() // (8 * size))
+            assert x_ == x and max(_unpack(v, slots, size, 1 << 8 * size), default=0) < min(top, 2**x)
+            return reduce_slots(v, p_, x_, *args)
+
+        monkeypatch.setattr(fabc_module, "_reduce_slots", checked)
+        g = [p - 1] * n
+        assert _homogenize(g, p) == _homogenized_oracle(g, p)
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """Two symmetric parameter sets over one prime: unrelated, equal, or
+    the (2c, 2c, c), (3c, 3c, c) shape of M7's radicals."""
+    p = draw(st.sampled_from((4621, 2**31 - 1)))
+    kind = draw(st.sampled_from(("random", "equal", "m7")))
+    if kind == "m7":
+        c = draw(st.integers(0, 500))
+        return FabcParams(2 * c, 2 * c, c, p), FabcParams(3 * c, 3 * c, c, p)
+    pairs = []
+    for _ in range(2):
+        a = draw(st.integers(0, 1500))
+        pairs.append(FabcParams(a, a, draw(st.integers(0, a)), p))
+    return (pairs[0], pairs[0]) if kind == "equal" else tuple(pairs)
+
+
+@given(symmetric_pairs())
+@settings(max_examples=80, deadline=None)
+def test_fabc_gcd_matches_generic_gcd(pair):
+    p1, p2 = pair
+    assert fabc_gcd(p1, p2) == fabc(p1).gcd(fabc(p2))
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_fabc_gcd_matches_generic_gcd_on_every_symmetric_pair(p):
+    # includes G = Q_k with c_k odd and the other c even (D_k = 0 at
+    # c_k = 1), where the closed form loses its factor 1 + t
+    params = [FabcParams(a, a, c, p) for a in range(p) for c in range(a + 1)]
+    polys = [fabc(q) for q in params]
+    for p1, f1 in zip(params, polys):
+        for p2, f2 in zip(params, polys):
+            assert fabc_gcd(p1, p2) == f1.gcd(f2), (p1, p2)
+
+
+def test_fabc_gcd_falls_back_off_the_symmetric_law():
+    # a != b, c > a = b, and mixed primes take FpUniPoly.gcd
+    for p1, p2 in (
+        (FabcParams(5, 7, 4, 13), FabcParams(6, 6, 3, 13)),
+        (FabcParams(4, 4, 6, 13), FabcParams(6, 6, 3, 13)),
+        (FabcParams(9, 9, 12, 29), FabcParams(6, 6, 5, 29)),
+    ):
+        assert fabc_gcd(p1, p2) == fabc(p1).gcd(fabc(p2))
+        assert fabc_gcd(p2, p1) == fabc(p2).gcd(fabc(p1))
+    with pytest.raises(InvalidInput):
+        fabc_gcd(FabcParams(4, 4, 2, 13), FabcParams(4, 4, 2, 29))
+
+
+def test_fabc_gcd_at_full_degree_is_no_slower_than_the_generic_gcd(monkeypatch):
+    # equal parameters make G all of Q (e = D = 330): the gcd is then the
+    # closed form itself, not built from G, and costs no more than the
+    # generic gcd of the same parameters' polynomials (best of 7,
+    # interleaved; about 0.45 of it at p = 4621 on a 2-vCPU x86-64 host)
+    params = FabcParams(1320, 1320, 660, 4621)
+    expected = fabc(params).monic()
+    assert fabc_gcd(params, params) == expected
+    generic, kummer = [], []
+    for _ in range(7):
+        for times, run in ((generic, lambda: fabc(params).gcd(fabc(params))),
+                           (kummer, lambda: fabc_gcd(params, params))):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+    assert min(kummer) <= min(generic), (min(kummer), min(generic))
+    # and the full-degree gcd never reaches the build from G
+    monkeypatch.setattr("cyclocover.fabc._homogenize", None)
+    assert fabc_gcd(params, params) == expected
+    odd = FabcParams(1319, 1319, 659, 4621)
+    assert fabc_gcd(odd, odd) == fabc(odd).monic()

@@ -844,6 +844,34 @@ def test_powmod_slots_stay_below_the_barrett_bound(p, monkeypatch):
         _powmod_case(p, full * 2, e, full)
 
 
+def test_powmod_list_loop_matches_schoolbook():
+    # moduli of degree 1 and from _POWMOD_PACKED_MAX on take the list loop
+    rng = random.Random(53)
+    for p, df in ((53, 1), (4621, 1), (2**31 - 1, 1), (53, ff._POWMOD_PACKED_MAX + 3)):
+        f = _rand_coeffs(df + 1, p, rng)
+        base = _rand_coeffs(df + 7, p, rng)
+        for e in (0, 1, 2, 53, p):
+            _powmod_case(p, base, e, f)
+
+
+def test_powmod_list_loop_squares_only_below_the_top_bit(monkeypatch):
+    # e = 53 = 0b110101: five squarings and a product with the base for
+    # each of the three set bits below the top one, at degree 1 and 512
+    calls = []
+    mul = FpUniPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(FpUniPoly, "__mul__", counted)
+    field = PrimeField(53)
+    for mod in ([3, 1], [2] * (ff._POWMOD_PACKED_MAX + 1)):
+        calls.clear()
+        poly_powmod(FpUniPoly(field, [5, 7, 11]), 53, FpUniPoly(field, mod))
+        assert len(calls) == 8
+
+
 def test_powmod_rejects_a_negative_exponent():
     t = FpUniPoly(F13, [0, 1])
     for mod in ([2, 0, 0, 1], [3], [0, 1], [1] * (ff._POWMOD_PACKED_MAX + 1)):

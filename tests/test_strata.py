@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -17,12 +18,14 @@ from cyclocover.errors import (
     UnsupportedFamily,
     WrongCongruenceClass,
 )
+from cyclocover.fabc import fabc_gcd
 from cyclocover.ff import ExtField, FpUniPoly, PrimeField, is_prime_u64
 from cyclocover.hassewitt import (
     OrbitContext,
     h1,
     h1_fabc_params,
     h1_radical,
+    h1_radical_params,
     witness_count,
 )
 from cyclocover.monodromy import FrobeniusOrbit, MonodromyDatum, frobenius_orbits, genus, signature
@@ -721,6 +724,32 @@ def test_closed_form_radical_matches_generic_path(seed):
                     ctx = OrbitContext(d, p, m - c)
                     assert h1_fabc_params(ctx) is not None, (d, p, c)
                     assert h1_radical(ctx) == radical_01(h1(ctx)), (d, p, c)
+
+
+def test_census_gcd_matches_the_generic_gcd_on_every_two_pair_m7_datum():
+    # every M7 four-point datum (in every label order) with balanced pairs
+    # at 2 and 3, at the primes p = +-1 mod 7 up to 400: both radicals
+    # symmetric (2,1,1,3 and 3,1,1,2), one of them (the fallback, as for
+    # 2,1,3,1), or neither; and each radical against itself (equal
+    # parameters)
+    shapes = collections.Counter()
+    for labels in itertools.product(range(1, 7), repeat=4):
+        if sum(labels) % 7:
+            continue
+        d = MonodromyDatum(7, 4, labels)
+        if [c for c in (1, 2, 3) if signature(d)[c] == signature(d)[7 - c] == 1] != [2, 3]:
+            continue
+        for p in (p for p in range(23, 401) if p % 7 in (1, 6) and is_prime_u64(p)):
+            (rad2, q2), (rad3, q3) = (h1_radical_params(OrbitContext(d, p, 7 - c)) for c in (2, 3))
+            assert fabc_gcd(q2, q3) == rad2.gcd(rad3), (labels, p)
+            assert fabc_gcd(q2, q2) == rad2 and fabc_gcd(q3, q3) == rad3, (labels, p)
+            shapes[labels, p % 7, q2.a == q2.b, q3.a == q3.b] += 1
+    sym = {key[:2]: key[2:] for key in shapes}
+    assert len(sym) == 48
+    for labels in ((2, 1, 1, 3), (3, 1, 1, 2)):
+        assert sym[labels, 1] == sym[labels, 6] == (True, True)
+    assert sym[(2, 1, 3, 1), 1] == sym[(2, 1, 3, 1), 6] == (True, False)
+    assert sym[(3, 1, 2, 1), 1] == (False, True)
 
 
 @pytest.mark.parametrize("p,c", [(31, 2), (53, 2), (37, 3)])
