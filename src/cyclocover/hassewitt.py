@@ -163,10 +163,13 @@ def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
     """Degree-n slice of prod_k (1 + x_k)^{b_k} as a multivariate polynomial.
 
     Every b_k is < p, so each binomial coefficient is a nonzero single
-    Lucas digit and the slice has exactly as many terms as compositions."""
+    Lucas digit and the slice has exactly as many terms as compositions.
+    The walk visits each composition once, so a slice over the budget is
+    refused by its count (_slice_counts) before any term is walked."""
     r = len(bs)
     if n < 0 or n > sum(bs):
         return FpMultiPoly.zero(field, r)
+    _check_slice_terms(_slice_counts(bs, n)[0], budget)
     suffix = [0] * (r + 1)
     for k in range(r - 1, -1, -1):
         suffix[k] = suffix[k + 1] + bs[k]
@@ -177,7 +180,6 @@ def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
     def walk(k: int, rem: int, coef: int) -> None:
         if k == r:
             terms[tuple(exps)] = coef
-            _check_slice_terms(len(terms), budget)
             return
         lo = max(0, rem - suffix[k + 1])
         hi = min(bs[k], rem)
@@ -464,26 +466,75 @@ def _slice_counts(bs, n: int, k: int = 0) -> tuple:
     """(terms, shifted) of the degree-n graded slice.  terms counts its
     monomials, the compositions of n with parts 0 <= e_s <= b_s; shifted
     sums e_k + 1 over them, the terms substitute_shift writes when it
-    expands x_k (each C(e_k, i) with i <= e_k < p is a unit).  Both come
-    from prefix-sum counts of the other parts, grouped by e_k."""
+    expands x_k (each C(e_k, i) with i <= e_k < p is a unit).  Both are
+    closed forms, in at most min(2^q, n+1) pairs of binomials for
+    q = r - 1.
+
+    Proof.  Let w_t count the compositions of t into the q parts other
+    than e_k.  With E = min(b_k, n), terms = sum_{e=0}^{E} w_{n-e} and
+    shifted = sum_{e=0}^{E} (e+1) w_{n-e}.  For q = 0, w_t = [t = 0], so
+    both vanish unless n <= b_k, and then they are 1 and n + 1.  For
+    q >= 1, sum_t w_t x^t = N(x) / (1-x)^q with
+    N(x) = prod_{s != k} (1 - x^{b_s+1}) = sum_sigma c_sigma x^sigma, so
+    w_t = sum_{sigma <= t} c_sigma C(t - sigma + q-1, q-1).  Only
+    sigma <= n matter, so N is expanded truncated at degree n, merging
+    equal sigma (at most min(2^q, n+1) of them), and a part with
+    b_s >= n contributes only its 1.  For one sigma put hi = n - sigma
+    >= 0, j = hi - e and lo = max(0, hi - E); e runs over 0..E with
+    j >= 0 exactly when j runs over lo..hi.  The hockey-stick sums
+    sum_{j=0}^{h} C(j+q-1, q-1) = C(h+q, q) and
+    sum_{j=0}^{h} C(j+q-1, q) = C(h+q, q+1) give
+        T = sum_{j=lo}^{hi} C(j+q-1, q-1) = C(hi+q, q) - C(lo+q-1, q),
+        U = sum_{j=lo}^{hi} C(j+q-1, q)   = C(hi+q, q+1) - C(lo+q-1, q+1),
+    the lower ends being the sums up to lo - 1, which vanish at lo = 0.
+    As e + 1 = (hi+1) - j and j C(j+q-1, q-1) = q C(j+q-1, q), sigma
+    contributes c_sigma T to terms and c_sigma ((hi+1) T - q U) to
+    shifted.  C(N, q+1) = C(N, q) (N - q) / (q + 1) takes both ends of U
+    from those of T, so (q+1) U = hi C(hi+q, q) - (lo-1) C(lo+q-1, q),
+    divided exactly.  Every argument of math.comb is nonnegative:
+    hi + q >= q >= 1, and the lower end is taken only for lo >= 1."""
     if n < 0:
         return 0, 0
-    ways = [1] + [0] * n
-    for b in bs[:k] + bs[k + 1:]:
-        acc = list(itertools.accumulate(ways))
-        ways = [v - (acc[s - b - 1] if s > b else 0) for s, v in enumerate(acc)]
-    by_e = [ways[n - e] for e in range(min(bs[k], n) + 1)]
-    return sum(by_e), sum((e + 1) * c for e, c in enumerate(by_e))
+    q = len(bs) - 1
+    top = min(bs[k], n)
+    if not q:
+        return (1, n + 1) if top == n else (0, 0)
+    numer = {0: 1}
+    for s, b in enumerate(bs):
+        if s == k or b >= n:
+            continue
+        # each shifted degree takes one old coefficient, read from the snapshot
+        for sigma, c in list(numer.items()):
+            if sigma + b < n:
+                numer[sigma + b + 1] = numer.get(sigma + b + 1, 0) - c
+    terms = shifted = 0
+    for sigma, c in numer.items():
+        if not c:
+            continue
+        hi = n - sigma
+        lo = hi - top
+        upper = math.comb(hi + q, q)
+        lower = math.comb(lo + q - 1, q) if lo > 0 else 0
+        t = upper - lower
+        u = (hi * upper - (lo - 1) * lower) // (q + 1)
+        terms += c * t
+        shifted += c * ((hi + 1) * t - q * u)
+    return terms, shifted
 
 
-def _slice_multiplicity(p: int, bs, n: int, j1: int, j2: int, budget: int) -> int:
+def _slice_multiplicity(
+    p: int, bs, n: int, j1: int, j2: int, budget: int, counts: Optional[tuple] = None
+) -> int:
     """Multiplicity of (x_{j1} - x_{j2}) in the degree-n graded slice of
     prod_k (1 + x_k)^{b_k}, every b_k < p, read off the exponents: the
     value, or the error, of
 
         divisor_multiplicity(_graded_slice(field, bs, n, budget), j1, j2, budget)
 
-    with its checks in the same order, and no slice or shift built.
+    with its checks in the same order (zero slice, term budget, labels,
+    shift budget), and no slice or shift built.  `counts` is
+    _slice_counts(bs, n, k) with k = j2 - 1, or k = 0 when j2 is out of
+    range; it is computed here when not given.
 
     Proof.  Write alpha = b_{j1}, beta = b_{j2}, B' for the sum of the
     other b_k, and y for the shifted x_{j2}.  The slice is
@@ -503,7 +554,9 @@ def _slice_multiplicity(p: int, bs, n: int, j1: int, j2: int, budget: int) -> in
     when the slice is zero."""
     r = len(bs)
     # the term count does not depend on the slot grouped by
-    terms, shifted = _slice_counts(bs, n, j2 - 1 if 1 <= j2 <= r else 0)
+    if counts is None:
+        counts = _slice_counts(bs, n, j2 - 1 if 1 <= j2 <= r else 0)
+    terms, shifted = counts
     if not terms:
         raise InvalidInput("multiplicity in the zero polynomial")
     _check_slice_terms(terms, budget)
@@ -524,8 +577,9 @@ def _refuse_phi_composite(ctx: OrbitContext, budget: int) -> None:
     raise in h0's walk-by-walk composite of a chain whose kinds are all
     phi or phi_dual, by the same check_product_budget rule.  The counts
     are exact: slice coefficients are units and slice exponents are below
-    p, so twisted factors multiply without collisions.  A slice over the
-    budget is left to build_chain, which refuses it itself."""
+    p, so twisted factors multiply without collisions.  When a slice is
+    over the budget, build_chain refuses it by its count, before its
+    terms are walked."""
 
     def size(w, jp, j):
         bs = branch_exponents(ctx.datum, ctx.p, w)
@@ -776,19 +830,24 @@ def h0_divisor_multiplicity(
     sum_i p^{l-1-i} * v(entry_i) without expanding the product.  A phi
     or phi_dual entry's valuation is read off its branch exponents
     (_slice_multiplicity), so no chain and no slice is built; a psi entry
-    is built and shifted.  Every step's slice size is checked, and every
-    psi entry built, before any valuation is taken, so each refusal is
-    the one that building the chain and then shifting its entries gives.
-    Chains with wider layers fall back to expanding h0."""
+    is built and shifted.  Each phi entry's slice is counted once, by the
+    closed form of _slice_counts grouped at x_{j2}, and the one count
+    serves both its budget check here and its multiplicity.  Every step's
+    slice size is checked, and every psi entry built, before any
+    valuation is taken, so each refusal is the one that building the
+    chain and then shifting its entries gives.  Chains with wider layers
+    fall back to expanding h0."""
     if not all(d == 1 for d in ctx.dims):
         return divisor_multiplicity(h0(ctx, budget), j1, j2, budget)
     p = ctx.p
+    k = j2 - 1 if 1 <= j2 <= ctx.datum.r else 0
 
     def phi(w, jp, j):
         bs = branch_exponents(ctx.datum, p, w)
         n = sum(bs) - (p * j - jp)
-        _check_slice_terms(_slice_counts(bs, n)[0], budget)
-        return functools.partial(_slice_multiplicity, p, bs, n)
+        counts = _slice_counts(bs, n, k)
+        _check_slice_terms(counts[0], budget)
+        return functools.partial(_slice_multiplicity, p, bs, n, counts=counts)
 
     def psi(w, jp, j):
         entry = psi_entry(ctx.datum, p, w, jp, j, budget)

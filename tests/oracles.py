@@ -157,6 +157,20 @@ def graded_slice(bs, n, p):
     return out
 
 
+def slice_counts_brute(bs, n, k=0):
+    """(terms, shifted) of the degree-n slice by enumeration: every
+    (e_1..e_r) with 0 <= e_s <= b_s and sum n counts once in terms and
+    e_k + 1 times in shifted."""
+    import itertools
+
+    terms = shifted = 0
+    for es in itertools.product(*(range(b + 1) for b in bs)):
+        if sum(es) == n:
+            terms += 1
+            shifted += es[k] + 1
+    return terms, shifted
+
+
 def phi_entry_oracle(m, a, p, c, jp, j):
     """Entry (j', j) of the phi matrix at character c: the degree-N slice
     of prod (1 + x_k)^{b_k} with b_k = floor(p<c a_k/m>), N = s - jp + j',
@@ -318,3 +332,20 @@ def ext_roots(f, dmax, seed):
             irreducibles.extend(_equal_degree_split(prod, d, rng))
     irreducibles.sort(key=lambda g: (g.degree, g.coeffs))
     return [(ExtField(f.field, g, check=False).generator(), g.degree) for g in irreducibles]
+
+
+def slice_counts_dp(bs, n, k=0):
+    """(terms, shifted) of the degree-n slice, as hassewitt._slice_counts
+    computed them before its closed form: prefix-sum counts w_t of the
+    compositions of t into the parts other than e_k, one part at a time
+    (O(r n)), then grouped by e_k."""
+    import itertools
+
+    if n < 0:
+        return 0, 0
+    ways = [1] + [0] * n
+    for b in bs[:k] + bs[k + 1:]:
+        acc = list(itertools.accumulate(ways))
+        ways = [v - (acc[s - b - 1] if s > b else 0) for s, v in enumerate(acc)]
+    by_e = [ways[n - e] for e in range(min(bs[k], n) + 1)]
+    return sum(by_e), sum((e + 1) * c for e, c in enumerate(by_e))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -185,6 +186,20 @@ def test_hw_budget_exit_three(capsys):
                        "--term-budget", "1")
     assert code == 3
     assert "error[degree-budget-exceeded]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hw", "phi", M7, "-p", "1009", "--tau", "3", "--jp", "1", "--j", "1"),
+    ("hw", "h0", M7, "-p", "1009", "--b0", "4"),
+])
+def test_hw_over_budget_slice_is_refused_before_it_is_walked(capsys, argv):
+    # the slice has about 10^8 terms; walking it up to the budget took
+    # about 50 s on a 2-vCPU x86-64 host, counting it takes microseconds
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--term-budget", "1000000")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert err == "error[degree-budget-exceeded]: graded slice exceeds 1000000 terms\n"
 
 
 # ---------------------------------------------------------------------------

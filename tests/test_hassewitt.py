@@ -50,12 +50,21 @@ from cyclocover.hassewitt import (
     _phi_fabc_params,
     _psi_closed_form,
     _qhat,
+    _slice_counts,
     _slice_multiplicity,
     _strip_01,
 )
 from cyclocover.monodromy import MonodromyDatum, signature
 
-from oracles import compose_sigma_linear, phi_entry_oracle, psi_entry_oracle, radical_01
+from oracles import (
+    compose_sigma_linear,
+    graded_slice as oracle_graded_slice,
+    phi_entry_oracle,
+    psi_entry_oracle,
+    radical_01,
+    slice_counts_brute,
+    slice_counts_dp,
+)
 
 D7 = MonodromyDatum(7, 4, (3, 1, 1, 2))
 D5 = MonodromyDatum(5, 4, (1, 1, 1, 2))
@@ -1008,6 +1017,66 @@ def test_slice_multiplicity_matches_the_shifted_slice(case):
     assert _outcome_text(lambda: _slice_multiplicity(*case)) == want
 
 
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=7))
+@example([40] * 7)
+@example([0])
+@settings(max_examples=100, deadline=None)
+def test_slice_counts_match_the_prefix_sum_dp(bs):
+    bs = tuple(bs)
+    for n, k in itertools.product(range(-2, sum(bs) + 3), range(len(bs))):
+        assert _slice_counts(bs, n, k) == slice_counts_dp(bs, n, k)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_slice_counts_match_enumeration(bs):
+    bs = tuple(bs)
+    for n, k in itertools.product(range(-2, sum(bs) + 3), range(len(bs))):
+        assert _slice_counts(bs, n, k) == slice_counts_brute(bs, n, k)
+
+
+def test_slice_counts_at_large_primes_match_the_dp():
+    for p in (10007, 100003):
+        for tau in range(1, 7):
+            bs = branch_exponents(D7, p, tau)
+            for n in (sum(bs) - p + 1, sum(bs) - 2 * p + 1, p - 1):
+                for k in range(4):
+                    assert _slice_counts(bs, n, k) == slice_counts_dp(bs, n, k)
+
+
+def test_slice_counts_dense_numerator_stays_within_the_dp(monkeypatch):
+    # twelve parts of 1: the 2^11 products of N(x) = (1 - x^2)^11 merge,
+    # truncated at degree 8, into five exponents, each costing at most
+    # two binomials (one at sigma = 8, where the lower end vanishes),
+    # against the DP's 11 prefix sums of length 9
+    calls = []
+    comb = math.comb
+
+    def counted(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    monkeypatch.setattr(hassewitt.math, "comb", counted)
+    bs, n = (1,) * 12, 8
+    got = [_slice_counts(bs, n, k) for k in range(12)]
+    monkeypatch.undo()
+    assert got == [slice_counts_dp(bs, n, k) for k in range(12)] == [(495, 825)] * 12
+    assert len(calls) == 12 * 9 <= 12 * 2 * min(2**11, n + 1)
+
+
+def test_graded_slice_refuses_before_the_walk(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("walked a slice over the budget")
+
+    monkeypatch.setattr(hassewitt, "binomial_mod_p", unexpected)
+    bs = branch_exponents(D7, 1009, 3)
+    n = sum(bs) - 1009 + 1
+    with pytest.raises(DegreeBudgetExceeded, match="^graded slice exceeds 10 terms$"):
+        _graded_slice(PrimeField(1009), bs, n, 10)
+    with pytest.raises(DegreeBudgetExceeded, match="^graded slice exceeds 1000000 terms$"):
+        phi_entry(D7, 1009, 3, 1, 1, 10**6)
+
+
 def test_one_by_one_phi_multiplicities_build_nothing(monkeypatch):
     chains = list(itertools.islice(_criterion_10_chains(), 0, None, 40))
     pairs = list(itertools.combinations(range(1, 5), 2))
@@ -1022,6 +1091,29 @@ def test_one_by_one_phi_multiplicities_build_nothing(monkeypatch):
         monkeypatch.setattr(hassewitt, name, unexpected)
     monkeypatch.setattr(FpMultiPoly, "substitute_shift", unexpected)
     assert [h0_divisor_multiplicity(ctx, j1, j2) for ctx in chains for j1, j2 in pairs] == want
+
+
+def test_h0_multiplicity_at_the_shift_budget_matches_the_built_entries():
+    # budgets on either side of each step's shift count, which depends on
+    # the label x_{j2} that the shift expands; the first 24 chains include
+    # p = 19 steps with one exponent of 15, where a count grouped at
+    # another label would move the refusal
+    outcomes = collections.Counter()
+    for ctx in itertools.islice(_criterion_10_chains(), 0, 24):
+        steps = []
+        for w in ctx.chain_chars:
+            bs = branch_exponents(ctx.datum, ctx.p, w)
+            steps.append((bs, sum(bs) - ctx.p + 1))
+        for j1, j2 in itertools.permutations(range(1, 5), 2):
+            budgets = set()
+            for bs, n in steps:
+                terms, shifted = slice_counts_dp(bs, n, j2 - 1)
+                budgets |= {b for b in (-(-shifted // 8) - 1, -(-shifted // 8)) if b >= terms}
+            for budget in sorted(budgets):
+                want = _outcome_text(lambda: _multiplicity_of_built_entries(ctx, j1, j2, budget))
+                assert _outcome_text(lambda: h0_divisor_multiplicity(ctx, j1, j2, budget)) == want
+                outcomes[want.startswith("DegreeBudgetExceeded: substitution")] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_h0_multiplicity_on_1x1_chains_matches_the_built_entries():
@@ -1051,6 +1143,46 @@ def test_h0_multiplicity_on_1x1_chains_matches_the_built_entries():
     want = "DegreeBudgetExceeded: graded slice exceeds 428 terms"
     assert _outcome_text(lambda: _multiplicity_of_built_entries(ctx, 1, 1, 428)) == want
     assert _outcome_text(lambda: h0_divisor_multiplicity(ctx, 1, 1, 428)) == want
+
+
+def _slice_grid():
+    """(datum, p, tau, jp, j, bs, n, count) for every phi entry of a few
+    small data at p = 3, 11, 13, count the slice's term count by the
+    oracle, then the zero slices just past either end."""
+    data = [D5, D7, MonodromyDatum(5, 3, (1, 1, 3)), MonodromyDatum(8, 3, (1, 3, 4)),
+            MonodromyDatum(7, 5, (1, 1, 1, 1, 3))]
+    for d in data:
+        sig = signature(d)
+        for p in (3, 11, 13):
+            if d.m % p == 0:
+                continue
+            for tau in range(1, d.m):
+                bs = branch_exponents(d, p, tau)
+                for jp in range(1, sig[(p * tau) % d.m] + 1):
+                    for j in range(1, sig[tau] + 1):
+                        n = sum(bs) - (p * j - jp)
+                        yield d, p, tau, jp, j, bs, n, len(oracle_graded_slice(bs, n, p))
+                for n in (-1, sum(bs) + 1):
+                    yield d, p, tau, None, None, bs, n, 0
+
+
+# sha256 of every outcome (the sorted terms, or the error class and
+# message) of phi_entry and _graded_slice over _slice_grid at budgets
+# count - 1, count and count + 1; recorded while _graded_slice still
+# refused only once its walk had passed the budget
+SLICE_BUDGET_SHA256 = "bca38e620e5735772825d750ea00a08f31d901490ebaee6dd8d43f86f4512a63"
+
+
+def test_slice_refusals_at_the_budget_boundary_golden_digest():
+    digest = hashlib.sha256()
+    for d, p, tau, jp, j, bs, n, count in _slice_grid():
+        for budget in (count - 1, count, count + 1):
+            if jp is not None:
+                entry = _outcome_text(lambda: sorted(phi_entry(d, p, tau, jp, j, budget).terms.items()))
+                digest.update(f"{entry}\n".encode())
+            block = _outcome_text(lambda: sorted(_graded_slice(PrimeField(p), bs, n, budget).terms.items()))
+            digest.update(f"{block}\n".encode())
+    assert digest.hexdigest() == SLICE_BUDGET_SHA256
 
 
 def test_divisor_bound_at_larger_primes():
