@@ -12,7 +12,9 @@ Dense products, division and gcd take plain coefficient lists.  With
 M(n) the cost of one n-coefficient product, CPython's Karatsuba on a
 Kronecker-packed integer, so about n^1.58 word operations with a small
 constant:
-  - multiplication: M(n) at every size;
+  - multiplication: M(n) at every size; a sum of twisted products
+    sum c(t) y(t^q) takes one product per pair, with y spread to every
+    q-th slot, and one unpacking;
   - division: one fused pass for a linear quotient; for a quotient of
     n >= 32 coefficients by a divisor of degree d, Newton inversion of
     one series of length L <= max(d, 32), reused for each of the
@@ -145,13 +147,21 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _SLOT_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _pack(coeffs, size: int) -> int:
-    """Kronecker packing: sum of coeffs[i] * 2^(8 size i), one size-byte
-    slot per coefficient, lowest degree in the lowest slot."""
+def _pack(coeffs, size: int, step: int = 1) -> int:
+    """Kronecker packing: sum of coeffs[i] * 2^(8 size step i), one
+    size-byte slot per coefficient every step slots (the slots between
+    are zero), lowest degree in the lowest slot; coeffs is not empty."""
+    if len(coeffs) == 1:
+        step = 1  # one slot: no gap, however large step is
     code = _SLOT_CODES.get(size)
     if code is None:
-        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
-    slots = array(code, coeffs)
+        gap = bytes(size * (step - 1))
+        return int.from_bytes(gap.join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    if step == 1:
+        slots = array(code, coeffs)
+    else:
+        slots = array(code, bytes(size * (step * (len(coeffs) - 1) + 1)))
+        slots[::step] = array(code, coeffs)
     if _BIG_ENDIAN:
         slots.byteswap()
     return int.from_bytes(slots.tobytes(), "little")
@@ -160,6 +170,14 @@ def _pack(coeffs, size: int) -> int:
 def _unpack(x: int, n: int, size: int, p: int) -> list:
     """The n lowest size-byte slots of x, lowest first, each reduced mod p."""
     buf = x.to_bytes(n * size, "little")
+    if size < 8 and size not in _SLOT_CODES:
+        # widen each slot to the next array item size, one byte column at
+        # a time, so the slots are read in C
+        wide = 1 << size.bit_length()
+        out = bytearray(n * wide)
+        for j in range(size):
+            out[j::wide] = buf[j::size]
+        buf, size = out, wide
     code = _SLOT_CODES.get(size)
     if code is None:
         return [int.from_bytes(buf[i:i + size], "little") % p for i in range(0, n * size, size)]
@@ -187,6 +205,33 @@ def _mul_coeffs(a, b, p: int) -> list:
     x = _pack(a, size)
     y = x if a is b else _pack(b, size)
     return _unpack(x * y, len(a) + len(b) - 1, size, p)
+
+
+def _twisted_dot(pairs, q: int, p: int) -> list:
+    """Sum of c(t) * y(t^q) over the pairs (c, y) of coefficient lists
+    (q >= 1), as one trimmed coefficient list.
+
+    Each nonzero pair is one Kronecker product (see _mul_coeffs): c with
+    a slot per coefficient, times y spread to every q-th slot.  The
+    products are added as integers, and the sum is unpacked once.
+
+    The slot bound.  Slot s of one product is the sum of c_i y_k over
+    i + k q = s with 0 <= i < len c.  Then i = s mod q, so at most
+    ceil(len c / q) values of i occur, each fixing k, and the slot is
+    at most ceil(len c / q) (p - 1)^2.  This holds also when deg c >= q,
+    where the blocks c(t) y_k t^(kq) overlap.  Slots are nonnegative, so
+    each slot of the sum is at most sum ceil(len c / q) (p - 1)^2 over
+    the pairs.  The slots take the fewest bytes that hold this bound, so
+    no slot carries into the next, and each slot of the sum is the exact
+    integer coefficient before it is reduced mod p."""
+    pairs = [(c, y) for c, y in pairs if c and y]
+    if not pairs:
+        return []
+    bound = sum(-(-len(c) // q) for c, _ in pairs) * (p - 1) ** 2
+    size = (bound.bit_length() + 7) // 8
+    total = sum(_pack(c, size) * _pack(y, size, q) for c, y in pairs)
+    n = max(len(c) + q * (len(y) - 1) for c, y in pairs)
+    return _trimmed(_unpack(total, n, size, p))
 
 
 def _trimmed(coeffs: list) -> list:
@@ -277,6 +322,12 @@ def _inverse_series(f, n: int, p: int) -> list:
         g += [p - c if c else 0 for c in _mul_coeffs(g, err, p)[:k - done]]
         g += [0] * (k - len(g))
     return g
+
+
+def _barrett_inverse(f, p: int) -> list:
+    """t^(2n-2) div f for f of degree n >= 2, as the reversed inverse
+    series of the reversed f (poly_powmod's mu, which proves it)."""
+    return _inverse_series(f[::-1], len(f) - 2, p)[::-1]
 
 
 _IDENTITY = ([1], [], [], [1])
@@ -682,7 +733,12 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     a mod f = (a + Q (-f)) mod t^n, needing only the n low coefficients
     of -f.  On packed integers div and mod by a power of t are shifts and
     masks, which act slot by slot, so they commute with reducing the
-    slots mod p.
+    slots mod p.  mu is one reversed series inverse: t^(2n-2) = mu f + rho
+    with t replaced by 1/t and multiplied by t^(2n-2) reads
+    1 = rev(mu) rev(f) + t^(n-1) rev(rho), where rev reverses the n - 1
+    coefficients of mu (the top one is 1 / lc f, not 0), the n + 1 of f
+    and the n of rho.  So rev(mu) = 1 / rev(f) mod t^(n-1), a series
+    whose constant term lc f is a unit.
 
     The slot bound.  The slot-wise Barrett step of _gcd_coeffs takes
     slots below 2^X to [0, 2p), and _slot_layout makes 2^X > 6 n p^2.
@@ -728,7 +784,7 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
                 R, dr = _reduce_slots(a, p, x, m, pat), da
                 continue
             if mu is None:
-                mu = _pack(_divrem_coeffs([0] * (2 * n - 2) + [1], f, p)[0], size)
+                mu = _pack(_barrett_inverse(f, p), size)
             q = _reduce_slots(_reduce_slots(a >> w * n, p, x, m, pat) * mu >> w * (n - 2), p, x, m, pat)
             R, dr = _reduce_slots((a + q * neg) & low, p, x, m, pat), n - 1
     return FpUniPoly._raw(field, _trimmed(_unpack(R, dr + 1, size, p)))

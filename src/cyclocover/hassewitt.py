@@ -117,6 +117,7 @@ from .ff import (
     least_factor,
     poly_powmod,
     _squarefree_parts,
+    _twisted_dot,
 )
 from .monodromy import MonodromyDatum, signature
 
@@ -456,10 +457,15 @@ def _heads(field: PrimeField, layers) -> list:
     the twisted composite A_{i-1} . A_{i-2}^(p) . ... . A_0^(p^(i-1))."""
     heads = [(FpUniPoly.one(field),)]
     for mat in layers:
-        twisted = [y.frobenius_pow(1) for y in heads[-1]]
-        # twisted head first: its product loop then writes exponents in order
-        heads.append(tuple(functools.reduce(operator.add, map(operator.mul, twisted, row)) for row in mat))
+        ys = [y.coeffs for y in heads[-1]]
+        heads.append(tuple(_twisted_row(row, ys, field) for row in mat))
     return heads
+
+
+def _twisted_row(row, ys, field: PrimeField) -> FpUniPoly:
+    """sum_j row[j] * Y_j^p for the coefficient lists ys of the Y_j."""
+    p = field.p
+    return FpUniPoly._raw(field, _twisted_dot([(c.coeffs, y) for c, y in zip(row, ys)], p, p))
 
 
 def _slice_counts(bs, n: int, k: int = 0) -> tuple:
@@ -928,17 +934,24 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
         So h != 0 (else c_1 / c_2 = -(Z_2 / Z_1)^p and
         W = c_2^2 (c_1 / c_2)' = 0), and if pi^e exactly divides h with
         e >= 2, pi^(e-1) divides W Z_1^p and W Z_2^p, hence W, as Z_1 and
-        Z_2 are coprime.  Such a pi, if it is not t or t - 1, divides D,
-        the part of gcd(W, h) prime to t and t - 1, so v_pi(W D) >= e.
-        So E = gcd(W D, h) is the product of pi^e over those pi, times
-        simple factors of h and powers of t and t - 1, and h / (E / rad E)
-        has no repeated factor but t and t - 1.  When D = 1 there is no
-        such pi, and h itself has none.  Every residue h mod n is
-        c_1 (Z_1^p mod n) + c_2 (Z_2^p mod n), taken at the degree of n.
-    The gcds run on entries of degree below p, on W and W D of degree
+        Z_2 are coprime.  Let W_0 be W with every factor t and t - 1
+        divided out, so v_pi(W_0) = v_pi(W) for every pi other than t
+        and t - 1.  Such a pi, if it is not t or t - 1, then divides
+        D = gcd(W_0, h), so v_pi(W_0 D) >= e.  D and W_0 D are prime to t
+        and t - 1, so E = gcd(W_0 D, h) is the product of pi^e over those
+        pi, times simple factors of h other than t and t - 1, and
+        h / (E / rad E) has no repeated factor but t and t - 1.  When
+        D = 1 there is no such pi, and h itself has none; in particular
+        D = 1 when W_0 is a constant, and then no residue of h is taken.
+        (With W in place of W_0, D is the same once t and t - 1 are
+        divided out, and E differs only by powers of t and t - 1.)
+        Every residue h mod n is c_1 (Z_1^p mod n) + c_2 (Z_2^p mod n),
+        taken at the degree of n.
+    The gcds run on entries of degree below p, on W_0 and W_0 D of degree
     below 2p and 4p, and on G at the degree of H_{i0-1}, about deg h1 / p.
     Finally t and t - 1 are divided out; the radical is unique, so this
-    is the radical of the stripped h1."""
+    is the radical of the stripped h1, whatever powers of t and t - 1
+    the steps above left in place."""
     return h1_radical_params(ctx, budget)[0]
 
 
@@ -1012,12 +1025,14 @@ def _row_radical(layers, heads, i: int, row) -> Optional[FpUniPoly]:
     def h_mod(n):
         return (c1 * poly_powmod(z1, p, n) + c2 * poly_powmod(z2, p, n)) % n
 
-    h = c1 * z1.frobenius_pow(1) + c2 * z2.frobenius_pow(1)
-    d = _strip_01(w.gcd(h_mod(w)))
-    if d.degree:
-        wd = w * d
-        e = wd.gcd(h_mod(wd))
-        h = h // (e // _radical_01(e))
+    h = _twisted_row((c1, c2), (z1.coeffs, z2.coeffs), g.field)
+    w0 = _strip_01(w)
+    if w0.degree:
+        d = w0.gcd(h_mod(w0))
+        if d.degree:
+            wd = w0 * d
+            e = wd.gcd(h_mod(wd))
+            h = h // (e // _radical_01(e))
     rad_g = _radical_01(g)
     if rad_g.degree == 0:
         return h.monic()

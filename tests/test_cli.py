@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from cyclocover import ff, hassewitt
 from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_config_file
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
@@ -653,6 +654,46 @@ def test_long_orbit_census_at_107_is_byte_identical_to_the_recorded_digest(capsy
     assert _stdout_digest(capsys, argvs) == (
         "355300227a105e778ad5b7aaef430e28c1a57c24363b99e28925f40fcebe9afa")
 
+
+# recorded while the last-layer radical still reduced h~ mod W (roots at 0
+# and 1 included) through poly_powmod, and the heads summed sparse twisted
+# products densely: long-orbit censuses, the h1 of 7:4:1,1,1,4 at p = 199
+# (degree about 3.4 million) and three h1 of i0 = 3 chains
+
+TWISTED_SHA256 = [
+    ("census 7:4:3,1,1,2 -p 193 -o json", "1d06d99d352c9742f776706223d9b808f5ade86dd93d7285418ae4767aaede55"),
+    ("census 7:4:3,1,1,2 -p 227 -o json", "a536f12c509d58b9e589a9bb47c66ef81bba52c5ceb65c0f0e71a6261668a039"),
+    ("census 7:4:3,1,1,2 -p 1019 -o json", "cd66f98a23e6f80b27c817a5804437c1b42cb567ca753948cf3652f4d22c245e"),
+    ("census 7:4:1,1,1,4 -p 107 -o json", "355300227a105e778ad5b7aaef430e28c1a57c24363b99e28925f40fcebe9afa"),
+    ("hw h1 7:4:1,1,1,4 -p 199 --b0 4", "08cc77b5089b9beb8fda2fdb610ee4bca800d6bb5ecec415011ca54c6ec57340"),
+    ("hw h1 7:4:1,1,1,4 -p 37 --b0 3", "b4aa9604474ed07b6e1694620fa4ab66e49f009b45787c472d4c77cf2d102c52"),
+    ("hw h1 7:4:1,2,2,2 -p 47 --b0 2", "c3bc0693501be5b2c66cf4d2e34b9d0531baa8fa2309bbaea6c0ce3da8709c0b"),
+    ("hw h1 7:4:1,1,1,4 -p 53 --b0 4", "3d136c4ee9be6ce4dd640ad362828f9616097ac7abbace450c1837bf61c584b2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TWISTED_SHA256)
+def test_twisted_products_are_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_long_orbit_census_makes_no_powmod(capsys, monkeypatch):
+    # at every chain of these censuses W stripped of t and t - 1 is a
+    # constant (and G has no root off 0 and 1), so the radical reduces
+    # nothing mod a polynomial
+    calls = []
+    powmod = ff.poly_powmod
+    counted = lambda *args: calls.append(args[2].degree) or powmod(*args)
+    monkeypatch.setattr(ff, "poly_powmod", counted)
+    monkeypatch.setattr(hassewitt, "poly_powmod", counted)
+    primes = [p for p in range(31, 401) if p % 7 in (3, 4) and is_prime_u64(p)]
+    assert len(primes) == 24
+    for p in primes:
+        code, out, _ = run(capsys, "census", M7, "-p", str(p), "-o", "json")
+        assert code == 0 and '"label":"Nu","nonempty":true' in out, p
+    assert calls == []
 
 # recorded while the census took gcd(rad_2, rad_3) of M7-type data at the
 # full degree of the radicals: the odd-c class 6 survey (the gcd carries a

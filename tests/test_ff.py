@@ -15,6 +15,7 @@ from cyclocover.ff import (
     FpUniPoly,
     PrimeField,
     _apply,
+    _barrett_inverse,
     _divrem_coeffs,
     _gcd_coeffs,
     _hgcd,
@@ -22,6 +23,7 @@ from cyclocover.ff import (
     _pack,
     _reduce_slots,
     _slot_layout,
+    _twisted_dot,
     _unpack,
     binomial_mod_p,
     eval_in_ext,
@@ -41,6 +43,7 @@ from oracles import (
     powmod_schoolbook,
     remainder_sequence,
     sympy_factor,
+    trim,
 )
 
 F13 = PrimeField(13)
@@ -844,6 +847,21 @@ def test_powmod_slots_stay_below_the_barrett_bound(p, monkeypatch):
         _powmod_case(p, full * 2, e, full)
 
 
+
+@pytest.mark.parametrize("p", (3, 4621, 2**31 - 1))
+def test_barrett_inverse_matches_schoolbook(p):
+    # poly_powmod's mu = t^(2n-2) div f, monic f and not: every n up to 64,
+    # then a stride through 600 and both sides of _POWMOD_PACKED_MAX (the
+    # schoolbook quotient costs n^2 steps, 0.1 s at n = 600)
+    rng = random.Random(p + 19)
+    sizes = [*range(2, 65), *range(65, 601, 41), 511, 512, 600]
+    for n in sizes:
+        f = _rand_coeffs(n + 1, p, rng)
+        for lead in (1, f[-1]):
+            f[-1] = lead
+            want = divrem_schoolbook([0] * (2 * n - 2) + [1], f, p)[0]
+            assert _barrett_inverse(f, p) == want, (p, n, lead)
+
 def test_powmod_list_loop_matches_schoolbook():
     # moduli of degree 1 and from _POWMOD_PACKED_MAX on take the list loop
     rng = random.Random(53)
@@ -904,3 +922,101 @@ def test_ext_field_inverse_is_byte_identical_to_the_recorded_digest():
         assert (x * y).rep.coeffs == (1,)
         digest.update(json.dumps(y.to_json()).encode())
     assert digest.hexdigest() == "23a0c91c331d23b71cff053dcc72c0c7364057325cf7bbc6f86ccfc0892b44fa"
+
+
+# ---------------------------------------------------------------------------
+# the twisted dot product sum c(t) y(t^q) against FpUniPoly's twists,
+# sparse products and dense sums
+
+TWIST_PRIMES = (3, 5, 4621, 2**31 - 1, 2**61 - 1)
+
+
+def _twisted_dot_oracle(pairs, k, p):
+    """sum c * y.frobenius_pow(k) through FpUniPoly; for p >= 2^31, which
+    PrimeField refuses, the same sparse sum over a dict of terms."""
+    if p < 2**31:
+        field = PrimeField(p)
+        total = FpUniPoly.zero(field)
+        for c, y in pairs:
+            total = total + FpUniPoly(field, c) * FpUniPoly(field, y).frobenius_pow(k)
+        return list(total.coeffs)
+    q = p**k
+    out = {}
+    for c, y in pairs:
+        for j, b in enumerate(y):
+            for i, a in enumerate(c):
+                out[i + j * q] = out.get(i + j * q, 0) + a * b
+    dense = [0] * (max(out, default=-1) + 1)
+    for e, v in out.items():
+        dense[e] = v % p
+    return trim(dense)
+
+
+@st.composite
+def _twisted_pairs(draw):
+    """(p, k, pairs): y spread over q = p^k slots per coefficient, so only
+    short y at large q; c up to 300 coefficients, so c overlaps itself
+    across blocks (deg c >= q) at q = 3, 5, 9 and 25; zero operands, and
+    coefficients at p - 1, the slot bound's extreme, often."""
+    p = draw(st.sampled_from(TWIST_PRIMES))
+    k = draw(st.sampled_from((1, 2)))
+    coeff = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    ylen = min(40, 1 + 40000 // p**k)
+    # trailing zeros are trimmed: the kernel takes coefficient lists
+    poly = lambda n: st.lists(coeff, max_size=n).map(trim)
+    pairs = draw(st.lists(st.tuples(poly(300), poly(ylen)), max_size=5))
+    return p, k, pairs
+
+
+@given(case=_twisted_pairs())
+@settings(max_examples=200, deadline=None)
+def test_twisted_dot_matches_the_sparse_oracle(case):
+    p, k, pairs = case
+    assert _twisted_dot(pairs, p**k, p) == _twisted_dot_oracle(pairs, k, p)
+
+
+@pytest.mark.parametrize("p", TWIST_PRIMES)
+def test_twisted_dot_at_the_slot_bound(p):
+    # every coefficient p - 1, so the slots of the sum reach
+    # sum min(ceil(len c / q), len y) (p - 1)^2: c and y longer than q
+    # where q is small (blocks overlapping 100 deep at q = 3), and up to
+    # seven pairs
+    for k in (1, 2):
+        q = p**k
+        top = p - 1
+        for npairs in (1, 2, 4, 7):
+            for clen in (1, 2, min(q + 1, 40), 300):
+                ylen = min(120, 1 + 40000 // q)
+                pairs = [([top] * clen, [top] * ylen)] * npairs
+                want = _twisted_dot_oracle(pairs, k, p)
+                assert _twisted_dot(pairs, q, p) == want, (p, k, npairs, clen)
+
+
+def test_twisted_dot_zero_and_constant_operands():
+    p = 4621
+    assert _twisted_dot([], p, p) == []
+    assert _twisted_dot([([], [1, 2]), ([3], [])], p, p) == []
+    # constants: c y(t^q) with c constant is c y spread; y constant is c y
+    assert _twisted_dot([([2], [1, 0, 3])], p, p) == [2] + [0] * (2 * p - 1) + [6]
+    assert _twisted_dot([([1, 2, 3], [5])], p**2, p) == [5, 10, 15]
+    # terms that cancel leave a trimmed list
+    assert _twisted_dot([([1, 1], [1]), ([p - 1, p - 1], [1])], p, p) == []
+    assert _twisted_dot([([1], [1, 1]), ([p - 1], [0, 1])], p, p) == [1]
+
+
+@pytest.mark.parametrize("size", range(1, 11))
+def test_pack_and_unpack_take_every_slot_width(size):
+    # 1, 2, 4 and 8 bytes are array item sizes; 3, 5, 6 and 7 are widened
+    # to one on unpacking; 9 and 10 go slot by slot; each packed densely
+    # and spread to every second and fifth slot
+    rng = random.Random(size)
+    top = 1 << 8 * size
+    for step in (1, 2, 5):
+        coeffs = [top - 1, 0, 1] + [rng.randrange(top) for _ in range(40)]
+        x = _pack(coeffs, size, step)
+        assert x == sum(c << 8 * size * step * i for i, c in enumerate(coeffs))
+        n = step * (len(coeffs) - 1) + 1
+        spread = [0] * n
+        spread[::step] = coeffs
+        assert _unpack(x, n, size, top) == spread
+        assert _unpack(x, n, size, 97) == [c % 97 for c in spread]

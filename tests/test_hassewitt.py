@@ -1338,27 +1338,33 @@ def test_h1_radical_golden_digest(budget):
     assert digest.hexdigest() == H1_RADICAL_SHA256[budget]
 
 
-def _last_layer_cases(ctx, layers):
-    """The cases of h1_radical's proof that the chain's last layer takes,
-    read off the chain: i0, the number d of nonzero terms, and for d = 2
-    whether W = 0, whether G = gcd(Y_1, Y_2) has positive degree, and
-    whether h~ has a repeated factor other than t and t - 1 (a nonconstant
-    W-part)."""
-    one = FpUniPoly.one(ctx.field)
-    heads = [one]
-    if ctx.i0 > 1:
+def _last_layer_cases(layers):
+    """The cases of h1_radical's proof that the last of the univariate
+    layers takes: i0, the number d of nonzero terms, and for d = 2
+    whether W = 0, whether W_0 (W stripped of t and t - 1) has positive
+    degree, whether G = gcd(Y_1, Y_2) and its radical away from t and
+    t - 1 have positive degree, and whether h~ has a repeated factor
+    other than t and t - 1 (a nonconstant W-part)."""
+    field = layers[0][0][0].field
+    heads = [FpUniPoly.one(field)]
+    if len(layers) > 1:
         heads = [col[0] for col in compose_sigma_linear(
-            layers[:-1], ctx.p, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add
+            layers[:-1], field.p, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add
         )]
     terms = [(c, y) for c, y in zip(layers[-1][0], heads) if not (c.is_zero or y.is_zero)]
-    cases = {f"i0={ctx.i0}", f"d={len(terms)}"}
+    cases = {f"i0={len(layers)}", f"d={len(terms)}"}
     if len(terms) == 2:
         (c1, y1), (c2, y2) = terms
-        if (c1.derivative() * c2 - c1 * c2.derivative()).is_zero:
+        w = c1.derivative() * c2 - c1 * c2.derivative()
+        if w.is_zero:
             return cases | {"W=0"}
+        if _strip_01(w).degree:
+            cases.add("deg W0>0")
         g = y1.gcd(y2)
         if g.degree:
             cases.add("deg G>0")
+        if radical_01(g).degree:
+            cases.add("deg rad G>0")
         h = c1 * (y1 // g).frobenius_pow(1) + c2 * (y2 // g).frobenius_pow(1)
         if radical_01(h).degree < _strip_01(h).degree:
             cases.add("W-part")
@@ -1366,7 +1372,8 @@ def _last_layer_cases(ctx, layers):
 
 
 # the only chains of _radical_chains whose h~ has a repeated factor other
-# than t and t - 1, both M9 data at p = 5
+# than t and t - 1, both M9 data at p = 5; their W_0 is not constant, so
+# _row_radical reduces h~ mod W_0
 W_PART_CHAINS = [((1, 1, 3, 4), 5, 7), ((2, 2, 6, 8), 5, 8)]
 
 
@@ -1386,8 +1393,8 @@ def test_last_layer_radical_matches_the_generic_path(seed):
         want = radical_01(h1(ctx))
         assert _layers_radical(layers) == want, ctx
         assert h1_radical(ctx) == want, ctx
-        reached |= _last_layer_cases(ctx, layers)
-    assert reached >= {"i0=1", "i0=2", "i0=3", "d=1", "d=2", "deg G>0", "W-part"}
+        reached |= _last_layer_cases(layers)
+    assert reached >= {"i0=1", "i0=2", "i0=3", "d=1", "d=2", "deg W0>0", "deg G>0", "W-part"}
 
 
 def _constructed_layers(rng, p, dims):
@@ -1415,9 +1422,15 @@ def _constructed_layers(rng, p, dims):
     return tuple(tuple(tuple(row) for row in mat) for mat in layers)
 
 
-def test_layers_radical_on_constructed_chains():
+def test_layers_radical_on_constructed_chains(monkeypatch):
     # the cases real chains do not reach: W = 0 (with constant and with
-    # nonconstant a_k), zero entries, and composites that vanish
+    # nonconstant a_k), zero entries, and composites that vanish; and both
+    # branches of a last layer with two terms and W != 0: a constant W_0
+    # (and rad G) makes no poly_powmod call, a nonconstant one reduces h~
+    # mod W_0 through two
+    calls = []
+    powmod = hassewitt.poly_powmod
+    monkeypatch.setattr(hassewitt, "poly_powmod", lambda *args: calls.append(1) or powmod(*args))
     rng = random.Random(12)
     outcomes = set()
     for _ in range(300):
@@ -1427,11 +1440,20 @@ def test_layers_radical_on_constructed_chains():
         composite = compose_sigma_linear(
             layers, p, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add
         )[0][0]
+        calls.clear()
         got = _layers_radical(layers)
         if composite.is_zero:
             assert got is None
             outcomes.add("vanishing")
-        else:
-            assert got == radical_01(composite), (p, layers)
-            outcomes.add("radical")
-    assert outcomes == {"vanishing", "radical"}
+            continue
+        assert got == radical_01(composite), (p, layers)
+        outcomes.add("radical")
+        cases = _last_layer_cases(layers)
+        if "d=2" in cases and "W=0" not in cases:
+            if "deg W0>0" in cases:
+                assert len(calls) >= 2, (p, layers)
+                outcomes.add("W0 reduced")
+            elif "deg rad G>0" not in cases:
+                assert calls == [], (p, layers)
+                outcomes.add("no powmod")
+    assert outcomes == {"vanishing", "radical", "W0 reduced", "no powmod"}

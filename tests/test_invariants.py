@@ -121,3 +121,15 @@ def test_univariate_chain_builds_no_multivariate_entry():
     used = set().union(*map(_names, defs.values()))
     forbidden = {"phi_entry", "psi_entry", "specialize_infty", "_graded_slice", "_qhat", "FpMultiPoly"}
     assert (used | reached) & forbidden == set()
+
+
+def test_twisted_products_go_through_the_kernel():
+    # the heads and the last-layer radical form each sum of twisted
+    # products sum_j c_j Y_j^p as one ff._twisted_dot, never from
+    # FpUniPoly.frobenius_pow, sparse products and dense sums
+    tree = ast.parse((SRC / "hassewitt.py").read_text())
+    reached = _reached(tree, ["_heads", "_row_radical"])
+    defs = [node for node in tree.body if getattr(node, "name", None) in reached]
+    used = set().union(*map(_names, defs))
+    assert "_twisted_dot" in used
+    assert "frobenius_pow" not in used
