@@ -10,6 +10,7 @@ valuation bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, ParamOutOfRange
@@ -42,27 +43,53 @@ class FabcParams:
             raise ParamOutOfRange(f"need 0 <= c <= a+b: got c={self.c}, a+b={self.a + self.b}")
 
 
-def fabc(params: FabcParams) -> FpUniPoly:
-    """C(a,i) C(b,c-i) = a! b! / (i! (a-i)! (c-i)! (b-c+i)!) from factorial
-    tables: every index is at most max(a, b) < p, so all are units mod p."""
+def _ratio_run(nums, dens, p: int, start: int = 1) -> list:
+    """[u_0, ..., u_n] with u_0 = start and u_(i+1) = u_i nums[i] / dens[i]
+    mod p, every dens[i] a unit.  u_i = start N_i / D_i with N_i and D_i
+    the prefix products; one pow inverts D_n, and walking back,
+    1 / D_(i-1) = dens[i-1] / D_i gives every other inverse."""
+    out, num, den = [start], start, 1
+    for x, y in zip(nums, dens):
+        num = num * x % p
+        den = den * y % p
+        out.append(num)
+    inv = pow(den, p - 2, p)
+    for i in range(len(out) - 1, 0, -1):
+        out[i] = out[i] * inv % p
+        inv = inv * dens[i - 1] % p
+    return out
+
+
+def fabc(params: FabcParams, monic: bool = False) -> FpUniPoly:
+    """f(a,b,c), or f(a,b,c) over its leading coefficient when monic, from
+    the ratios of consecutive terms, in time linear in its c + 1 or fewer
+    coefficients.
+
+    The terms u_i = C(a,i) C(b,c-i) are nonzero exactly for
+    lo = max(0, c-b) <= i <= hi = min(a, c), where
+        u_(i+1) / u_i = (a-i)(c-i) / ((i+1)(b-c+i+1))   (lo <= i < hi).
+    Every factor there is a unit: as lo <= i < hi, 1 <= a-i <= a and
+    1 <= i+1 <= a (hi <= a), 1 <= c-i <= b and 1 <= b-c+i+1 <= b
+    (c-b <= i < c), all below p.  So over F_p every u_i is a unit,
+    deg f = hi, and _ratio_run takes the run with one pow.
+    The run starts from the leading term u_hi = C(a,hi) C(b,c-hi), or
+    from 1 for the monic polynomial, so no pass divides by it, and goes
+    down by the reciprocal ratios, the same units.
+      * Symmetry.  When a = b, u_i = C(a,i) C(a,c-i) = u_(c-i), and
+        lo + hi = c, so u_lo = u_hi: the run goes up from u_lo, only
+        lo <= i <= c // 2 is built, and the rest is the same run read
+        backwards."""
     a, b, c, p = params.a, params.b, params.c, params.p
-    field = PrimeField(p)
-    lo = max(0, c - b)
-    hi = min(a, c)
-    top = max(a, b)
-    fact = [1] * (top + 1)
-    for n in range(1, top + 1):
-        fact[n] = fact[n - 1] * n % p
-    inv_fact = [1] * (top + 1)
-    inv_fact[top] = pow(fact[top], p - 2, p)
-    for n in range(top, 0, -1):
-        inv_fact[n - 1] = inv_fact[n] * n % p
-    scale = fact[a] * fact[b] % p
-    coeffs = [0] * lo + [
-        scale * inv_fact[i] * inv_fact[a - i] % p * inv_fact[c - i] * inv_fact[b - c + i] % p
-        for i in range(lo, hi + 1)
-    ]
-    return FpUniPoly(field, coeffs)
+    lo, hi = max(0, c - b), min(a, c)
+    start = 1 if monic else math.comb(a, hi) * math.comb(b, c - hi) % p
+    if a == b:
+        steps = range(lo, c // 2)
+        half = _ratio_run([(a - i) * (c - i) for i in steps], [(i + 1) * (b - c + i + 1) for i in steps], p, start)
+        body = half + half[: c - c // 2 - lo][::-1]
+    else:
+        steps = range(hi - 1, lo - 1, -1)
+        body = _ratio_run([(i + 1) * (b - c + i + 1) for i in steps], [(a - i) * (c - i) for i in steps], p, start)[::-1]
+    return FpUniPoly._raw(PrimeField(p), [0] * lo + body)
 
 
 def fabc_profile(params: FabcParams) -> tuple:
@@ -132,19 +159,9 @@ def coprime_shift(params: FabcParams) -> tuple:
 
 def _kummer_coeffs(a: int, c: int, p: int) -> list:
     """r_0, ..., r_D (D = c // 2) of fabc_gcd's docstring, for c <= a < p:
-    r_0 = 1 and r_{j+1} = r_j (c - 2j)(c - 2j - 1) / ((j + 1)(a - c + j + 1)),
-    with the D denominators inverted by one pow."""
-    d = c // 2
-    num, den = [1] * (d + 1), [1] * (d + 1)
-    for j in range(d):
-        num[j + 1] = num[j] * (c - 2 * j) * (c - 2 * j - 1) % p
-        den[j + 1] = den[j] * (j + 1) * (a - c + j + 1) % p
-    inv = pow(den[d], p - 2, p)
-    for j in range(d, 0, -1):
-        # inv is 1 / den[j]; den[j] = den[j - 1] * j * (a - c + j)
-        num[j] = num[j] * inv % p
-        inv = inv * j * (a - c + j) % p
-    return num
+    r_0 = 1 and r_(j+1) = r_j (c - 2j)(c - 2j - 1) / ((j + 1)(a - c + j + 1))."""
+    steps = range(c // 2)
+    return _ratio_run([(c - 2 * j) * (c - 2 * j - 1) for j in steps], [(j + 1) * (a - c + j + 1) for j in steps], p)
 
 
 def _homogenize(g, p: int) -> list:
@@ -215,7 +232,7 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
         for c <= a < p the identity holds over F_p with every denominator
         a unit.  With r_j = 4^j q_j (the coefficients of Q(4u)),
         r_0 = 1 and r_{j+1} / r_j = (c-2j)(c-2j-1) / ((j+1)(a-c+j+1)), so
-        Q is built in O(D) with one batched inverse (_kummer_coeffs).
+        Q is built in O(D) with one pow (_kummer_coeffs, by fabc's ratio run).
       * Q(0) = q_0 = 1, and q_D is a product of units, so deg Q = D.  Over
         an algebraic closure Q = q_D prod_i (w - w_i)^(m_i) with distinct
         w_i != 0, so Y^D Q(X/Y) = q_D prod_i P_i^(m_i) with
@@ -235,8 +252,8 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
     G is found as gcd(r_1, r_2), the same gcd with w = 4u, and
     Y^e G(X/Y) = sum_j g_j t^j (1 + t)^(2(e-j)) for G(4u) = sum_j g_j u^j
     (_homogenize).  When G is all of one Q_k (e = D_k), the gcd is instead
-    f(p_k) made monic, divided by 1 + t when c_k is odd and the other c
-    even: one closed form in linear time in place of the build."""
+    fabc(p_k, monic=True), divided by 1 + t when c_k is odd and the other
+    c even: one closed form in linear time in place of the build."""
     if p1.p != p2.p or not all(q.a == q.b and q.c <= q.a for q in (p1, p2)):
         return fabc(p1).gcd(fabc(p2))
     p = p1.p
@@ -245,10 +262,8 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
     odd = p1.c % 2 == 1 and p2.c % 2 == 1
     for q, r in ((p1, r1), (p2, r2)):
         if len(g) == len(r):
-            f = fabc(q)
-            if q.c % 2 == 1 and not odd:
-                f = f.strip_root(-1)[1]
-            return f.monic()
+            f = fabc(q, monic=True)
+            return f.strip_root(-1)[1] if q.c % 2 == 1 and not odd else f
     inv = pow(g[0], p - 2, p)
     h = _homogenize([c * inv % p for c in g], p)
     if odd:

@@ -39,7 +39,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 from typing import Iterable, Optional
 
 from .errors import DegreeBudgetExceeded, InternalError, InvalidInput, ParamOutOfRange
@@ -455,7 +455,14 @@ def _gcd_coeffs(a, b, p: int) -> list:
     c <= burst = floor((2^X - 2p) / ((p - 1)(2p - 1))), and burst >= 2
     because X >= 2k + 2 gives 2^X >= 4 p^2 > (2p - 1)^2 + 1: a linear
     quotient never needs an extra reduction.  A longer quotient reduces A
-    after every burst terms (at p near 2^31 burst is 16)."""
+    after every burst terms (at p near 2^31 burst is 16).
+
+    Linear steps.  When deg A = deg B + 1, as at every step of a normal
+    remainder sequence, both quotient terms come before any product: q1
+    from A's top slot and q0 from A's slot db less q1 times B's slot
+    db - 1, which is the slot the first term would leave there.  Then
+    A += B ((p - q1) 2^w + (-q0 mod p)) adds the same two terms in one
+    product, each multiplier below p, so the bound above holds as is."""
     if len(a) < len(b):
         a, b = b, a
     if len(a) >= _HGCD_MIN and len(a) > len(b) > len(a) // 2:
@@ -471,12 +478,21 @@ def _gcd_coeffs(a, b, p: int) -> list:
     da, db = len(a) - 1, len(b) - 1
     while B:
         inv = pow(B >> w * db, p - 2, p)
-        for s in range(da - db, -1, -1):
-            q = ((A >> w * (db + s)) & slot) * inv % p
-            if q:
-                A += (p - q) * B << w * s
-            if s and (da - db + 1 - s) % burst == 0:
-                A = _reduce_slots(A, p, x, m, pat)
+        if da == db + 1:
+            # both terms of a linear quotient in one product: q1 from A's
+            # top slot, q0 from the slot db that A - q1 B t leaves, A's
+            # slot db less q1 times B's slot db - 1 (none when db = 0)
+            b1 = (B >> w * (db - 1)) & slot if db else 0
+            q1 = (A >> w * da) * inv % p
+            q0 = (((A >> w * db) & slot) - q1 * b1) * inv % p
+            A += B * ((p - q1 << w) + (-q0 % p))
+        else:
+            for s in range(da - db, -1, -1):
+                q = ((A >> w * (db + s)) & slot) * inv % p
+                if q:
+                    A += (p - q) * B << w * s
+                if s and (da - db + 1 - s) % burst == 0:
+                    A = _reduce_slots(A, p, x, m, pat)
         A = _reduce_slots(A & (1 << w * db) - 1, p, x, m, pat)
         dr = db - 1
         while dr >= 0 and ((A >> w * dr) & slot) % p == 0:
@@ -642,9 +658,13 @@ class FpUniPoly:
         return self.divrem(other)[1]
 
     def monic(self) -> "FpUniPoly":
+        """self over its leading coefficient: a unit times a trimmed list
+        of residues stays trimmed, so one pass builds it."""
         if self.is_zero:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        p = self.field.p
+        inv = self.field.inv(self.coeffs[-1])
+        return FpUniPoly._raw(self.field, [inv * x % p for x in self.coeffs])
 
     def gcd(self, other: "FpUniPoly") -> "FpUniPoly":
         """Monic greatest common divisor."""
@@ -668,7 +688,9 @@ class FpUniPoly:
 
     def strip_root(self, c: int) -> tuple:
         """(k, self / (t-c)^k) for the largest k with (t-c)^k dividing
-        self; one synthetic division by t - c per factor."""
+        self; one synthetic division by t - c per factor.  At c = 1 the
+        remainder is the coefficient sum f(1), and the quotient's
+        coefficients are the suffix sums q_i = a_(i+1) + ... + a_n."""
         if self.is_zero:
             raise InvalidInput("valuation of the zero polynomial")
         p = self.field.p
@@ -678,6 +700,13 @@ class FpUniPoly:
             k = next(i for i, x in enumerate(coeffs) if x)
             return k, (FpUniPoly._raw(self.field, coeffs[k:]) if k else self)
         k = 0
+        if c == 1:
+            # highest degree first, so that each quotient is one accumulate
+            rev = coeffs[::-1]
+            while sum(rev) % p == 0:
+                k += 1
+                rev = [s % p for s in accumulate(rev[:-1])]
+            return k, (FpUniPoly._raw(self.field, rev[::-1]) if k else self)
         while True:
             quot, rem = _divide_linear(coeffs, c, p)
             if rem:
@@ -689,17 +718,10 @@ class FpUniPoly:
         """Canonical text form: 'c0 + c1*t + ...', zero terms omitted."""
         if self.is_zero:
             return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{e}")
-        return " + ".join(parts)
+        return " + ".join([
+            f"{c}*t^{e}" if e > 1 else f"{c}*t" if e else str(c)
+            for e, c in enumerate(self.coeffs) if c
+        ])
 
     def to_json(self) -> list:
         return list(self.coeffs)

@@ -888,7 +888,8 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     When h1 is one nonzero phi entry, a unit times f(a,b,c) by the
     closed form of the module docstring (h1_fabc_params; every balanced
     pair's chain when p = +-1 mod m), the radical is f(a',b',c') made
-    monic, with (a',b',c') = strip(a,b,c).reduced, and neither h1 nor
+    monic (fabc(..., monic=True), from the ratios of its terms), with
+    (a',b',c') = strip(a,b,c).reduced, and neither h1 nor
     gcd(f, f') is computed.  Proof:
       * strip's identity f(a,b,c) = +-t^s (t-1)^u f(a',b',c'), with
         f(a',b',c') nonzero at 0 and 1, removes the roots at 0 and 1
@@ -959,12 +960,12 @@ def h1_radical_params(
     ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET
 ) -> tuple:
     """(h1_radical(ctx, budget), P): P = strip(h1_fabc_params(ctx)).reduced
-    when h1 is one nonzero phi entry, so that the radical is f(P) made
-    monic, and None for every other chain shape."""
+    when h1 is one nonzero phi entry, so that the radical is
+    fabc(P, monic=True), and None for every other chain shape."""
     params = h1_fabc_params(ctx, budget)
     if params is not None:
         reduced = strip(params).reduced
-        return fabc(reduced).monic(), reduced
+        return fabc(reduced, monic=True), reduced
     rad = _layers_radical(_budgeted_chain(ctx, budget))
     if rad is None:
         raise HypothesisNotMet(

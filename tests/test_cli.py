@@ -716,6 +716,59 @@ def test_symmetric_census_gcd_is_byte_identical_to_the_recorded_digest(capsys, a
     assert _stdout_digest(capsys, argvs) == digest
 
 
+# recorded while f(a,b,c) was built from factorial tables, each census
+# radical went through fabc(...).monic() and Euclid took its quotient
+# terms one at a time: M7 at the first 100 primes p = 6 mod 7 (class 1 is
+# pinned above), M5 at p = +-1 mod 5 below 400 (5:4:1,2,3,4 has two
+# balanced pairs and is refused), and a datum whose reduced radicals are
+# f(a,b,c) with a != b.  5:4:1,3,3,3 is 3 (1,1,1,2) and prints the same
+# bytes, but its radicals are f(a,b,c) with a != b where 5:4:1,1,1,2 has
+# a = b, so the two pin both branches of the radical
+
+def _census_class_argvs(datum, primes):
+    return [("census", datum, "-p", str(p), "-o", "json") for p in primes]
+
+
+@pytest.mark.parametrize("datum,primes,digest", [
+    (M7, [p for p in range(22, 5000) if p % 7 == 6 and is_prime_u64(p)][:100],
+     "4626674712fa7a66d47d8e508d04e49f2f511018d1b55642a7273796bd69065e"),
+    ("5:4:1,1,1,2", [p for p in range(16, 400) if p % 5 in (1, 4) and is_prime_u64(p)],
+     "a54a0d5ab8f563097caa33bc080c784e5d4d4930a3241788c0372d2499d1a502"),
+    ("5:4:1,3,3,3", [p for p in range(16, 400) if p % 5 in (1, 4) and is_prime_u64(p)],
+     "a54a0d5ab8f563097caa33bc080c784e5d4d4930a3241788c0372d2499d1a502"),
+    ("7:4:1,1,2,3", [p for p in range(22, 400) if p % 7 in (1, 6) and is_prime_u64(p)],
+     "f9dd39fcc9bba6a8b853add74b65d01b5f9456283deb0069765a48db11bca184"),
+])
+def test_balanced_census_classes_are_byte_identical_to_the_recorded_digest(capsys, datum, primes, digest):
+    assert _stdout_digest(capsys, _census_class_argvs(datum, primes)) == digest
+
+
+def _fabc_argvs():
+    """The fabc subcommand, plain text and strip as JSON, at every (a, b, c)
+    with a, b < p and c <= a + b + 1 (the last one refused) for p = 3, 5, 7
+    and 11, then at seeded triples for p = 4621 and 2^31 - 1."""
+    triples = [(a, b, c, p) for p in (3, 5, 7, 11) for a in range(p) for b in range(p)
+               for c in range(a + b + 2)]
+    rng = random.Random(20)
+    triples += [(1980, 1980, 660, 4621), (1980, 1980, 661, 4621), (4620, 4620, 4620, 4621)]
+    for p, top in ((4621, 4620), (2**31 - 1, 3000)):
+        for _ in range(40):
+            a, b = rng.randint(0, top), rng.randint(0, top)
+            triples.append((a, b, rng.randint(0, a + b), p))
+    for a, b, c, p in triples:
+        yield f"fabc --a {a} --b {b} --c {c} -p {p}"
+        yield f"fabc strip --a {a} --b {b} --c {c} -p {p} -o json"
+
+
+def test_fabc_subcommand_is_byte_identical_to_the_recorded_digest(capsys):
+    # sha256 of "<argv>\n<exit code>\n<stdout><stderr>" over _fabc_argvs
+    digest = hashlib.sha256()
+    for argv in _fabc_argvs():
+        code, out, err = run(capsys, *argv.split())
+        digest.update(f"{argv}\n{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "da6595f83d07edd6bb877b8b2e218c0697cab661326febedd058307b5c9acae0"
+
+
 # recorded while witness still factored the whole stripped h1 and built
 # h1 a second time for the count
 

@@ -21,7 +21,7 @@ from cyclocover.fabc import (
     strip,
 )
 from cyclocover import fabc as fabc_module
-from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, _slot_layout, _unpack
+from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, _slot_layout, _unpack, is_prime_u64
 
 from oracles import FROZEN, fabc_brute
 
@@ -267,11 +267,62 @@ def test_involution(params):
     frac=st.floats(0, 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_fabc_factorial_tables_match_brute_oracle_large_p(p, a, b, frac):
-    # the factorial tables run up to max(a, b), which must stay below p
+def test_fabc_matches_brute_oracle_large_p(p, a, b, frac):
+    # every term ratio has factors up to max(a, b), which must stay below p
     a, b = a % p, b % p
     c = round(frac * (a + b))
     assert fabc(FabcParams(a, b, c, p)).to_json() == fabc_brute(a, b, c, p)
+
+
+def _monic_brute(a, b, c, p):
+    f = fabc_brute(a, b, c, p)
+    inv = pow(f[-1], p - 2, p)
+    return [x * inv % p for x in f]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_term_ratio_builder_on_every_triple(p):
+    # every (a, b, c) with a, b < p and c <= a + b: a = b with c odd and
+    # even, c = 0, c > b (roots at 0) and a < c (degree a)
+    for a in range(p):
+        for b in range(p):
+            for c in range(a + b + 1):
+                q = FabcParams(a, b, c, p)
+                f, g = fabc(q), fabc(q, monic=True)
+                assert f.to_json() == fabc_brute(a, b, c, p), (a, b, c)
+                assert g.to_json() == _monic_brute(a, b, c, p), (a, b, c)
+                assert g == f.monic() and g.degree == min(a, c)
+
+
+@pytest.mark.parametrize("p", [4621, 2**31 - 1])
+def test_term_ratio_builder_on_seeded_triples(p):
+    rng = random.Random(p)
+    triples = [(1980, 1980, 660), (1980, 1980, 661), (700, 700, 0), (300, 300, 450), (300, 301, 450),
+               (12, 900, 400), (900, 12, 400), (0, 2000, 1000)]
+    for _ in range(15):
+        a, b = rng.randrange(1000), rng.randrange(1000)
+        triples.append((a, b, rng.randint(0, a + b)))
+        triples.append((a, a, rng.randint(0, 2 * a)))
+    for a, b, c in triples:
+        q = FabcParams(a, b, c, p)
+        assert fabc(q).to_json() == fabc_brute(a, b, c, p), (a, b, c)
+        assert fabc(q, monic=True).to_json() == _monic_brute(a, b, c, p), (a, b, c)
+
+
+def test_census_radicals_are_the_monic_term_ratio_runs():
+    # the reduced parameters of the census radicals have a = b and c <= a,
+    # so the monic radical is the ratio run from 1, read back from the
+    # middle; it equals fabc(q).monic() at every first-100 class-1 prime
+    from cyclocover.hassewitt import OrbitContext, h1_radical_params
+    from cyclocover.strata import M7_FAMILY
+
+    primes = [p for p in range(8, 4622, 7) if is_prime_u64(p)]
+    assert len(primes) == 100 and primes[-1] == 4621
+    for p in primes:
+        for b0 in (5, 4):
+            rad, q = h1_radical_params(OrbitContext(M7_FAMILY, p, b0))
+            assert q.a == q.b and q.c <= q.a
+            assert rad == fabc(q).monic() and rad.coeffs[0] == 1, (p, b0)
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,45 @@ def test_gcd_kernel_with_every_coefficient_p_minus_1(p):
     assert _gcd_coeffs(a, [p - 1] * 150, p) == gcd_euclid(a, [p - 1] * 150, p)
 
 
+@pytest.mark.parametrize("p", (3, 4621, 2**31 - 1))
+def test_gcd_kernel_fused_linear_steps(p, monkeypatch):
+    # a linear quotient adds both of its terms in one product; every
+    # Barrett step must still see slots below 2^X, and the gcd is Euclid's
+    size, x, *_ = _slot_layout(p, 1)
+    reduce_slots = ff._reduce_slots
+    seen = []
+
+    def checked(v, *args):
+        n = -(-v.bit_length() // (8 * size))
+        seen.append(max(_unpack(v, n, size, 1 << 8 * size), default=0))
+        return reduce_slots(v, *args)
+
+    monkeypatch.setattr(ff, "_reduce_slots", checked)
+    rng = random.Random(p + 11)
+    top = [p - 1, p - 1]
+    cases = [
+        # every quotient (p - 1)(1 + t) and every coefficient of g p - 1
+        ([top] * 60, [p - 1] * 5),
+        # a degree drop right after each linear step
+        ([[1, 2], rng.choices(range(1, p), k=3)] * 12, [1, 1]),
+        # db from 1 to 0: the last two steps divide by t + c, then by c
+        ([[1, 1]] * 30, [p - 1]),
+    ]
+    for quotients, g in cases:
+        lower, upper = [], g
+        for q in reversed(quotients):
+            lower, upper = upper, _add_mod(mul_schoolbook(q, upper, p), lower, p)
+        a, b = upper, lower
+        seq = remainder_sequence(a, b, p)
+        assert [len(x) - len(y) + 1 for x, y in zip(seq, seq[1:])] == [len(q) for q in quotients]
+        assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p) == gcd_euclid(g, [], p)
+    # operands of all p - 1 with a linear first step
+    for la in (2, 3, 97, 301):
+        a, b = [p - 1] * la, [p - 1] * (la - 1)
+        assert _gcd_coeffs(a, b, p) == gcd_euclid(a, b, p), la
+    assert seen and max(seen) < 2**x
+
+
 def test_gcd_kernel_after_a_long_first_quotient():
     # the first quotient (about 2,900 terms) is taken by Newton division
     # on lists; the rest of the sequence runs packed

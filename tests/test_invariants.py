@@ -133,3 +133,18 @@ def test_twisted_products_go_through_the_kernel():
     used = set().union(*map(_names, defs))
     assert "_twisted_dot" in used
     assert "frobenius_pow" not in used
+
+
+def test_fabc_builds_from_term_ratios():
+    # f(a,b,c) and the Kummer coefficients come from the one ratio run
+    # (one pow per polynomial), with no factorial table in the module, and
+    # the census radical is built monic rather than made monic afterwards
+    tree = ast.parse((SRC / "fabc.py").read_text())
+    assert {name for name in _names(tree) if "fact" in name.lower()} == set()
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("fabc", "_kummer_coeffs"):
+        used = _names(defs[name])
+        assert "_ratio_run" in used and "pow" not in used, name
+    tree = ast.parse((SRC / "hassewitt.py").read_text())
+    (radical,) = [node for node in tree.body if getattr(node, "name", None) == "h1_radical_params"]
+    assert "monic" not in _names(radical)
