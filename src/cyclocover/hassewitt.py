@@ -104,7 +104,7 @@ from .errors import (
     PDividesM,
     PsiHypothesisNotMet,
 )
-from .fabc import FabcParams, fabc, strip
+from .fabc import FabcParams, _ratio_run, fabc, strip
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtField,
@@ -912,10 +912,11 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
     H_0 = (1) and H_{i+1} = A_i . H_i^(p), end in H_{i0} = h1, and
     _row_radical takes rad X for X = sum_j c_j Y_j^p, where (c_j) is a
     row of layer i and Y_j = H_i[j]; h1 is the last layer's one row.
-    Here rad is taken away from t and t - 1, which are divided out at
-    the end.  Terms with c_j = 0 or Y_j = 0 drop out, and for four branch
-    points at most two remain (the signature is at most 2).  Over F_p,
-    (Y^p)' = 0.  Proof, by cases:
+    Here rad is taken away from t and t - 1: no step leaves either in
+    place (the last case below says how h is rid of them).  Terms with
+    c_j = 0 or Y_j = 0 drop out, and for four branch points at most two
+    remain (the signature is at most 2).  Over F_p, (Y^p)' = 0.  Proof,
+    by cases:
       * No term: X = 0; for h1 that is the vanishing composite.
       * One term: X = c Y^p, so rad X = lcm(rad c, rad Y), and Y = H_i[j]
         is the sum over row j of layer i - 1 (rad H_0 = 1).
@@ -948,11 +949,30 @@ def h1_radical(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPol
         divided out, and E differs only by powers of t and t - 1.)
         Every residue h mod n is c_1 (Z_1^p mod n) + c_2 (Z_2^p mod n),
         taken at the degree of n.
+        - W's shape.  Past its v_0 roots at 0, let R be the rest of W,
+          of degree n.  If W_0 is a constant, R = W_0 (t - 1)^n.  When
+          n < p every C(n, i) is a unit, so the terms of lc(R) (t - 1)^n,
+          lc(R) C(n, i) (-1)^(n-i), are nonzero and go up by the ratio
+          (i - n) / (i + 1), whose denominator i + 1 <= n is a unit; one
+          ratio run builds them, and R equals them exactly when W_0 is
+          the constant lc(R), found in O(n) with no pass per root at 1.
+          Any other R, or n >= p, takes the generic strip.
+        - h monic.  c_k Z_k^p has degree deg c_k + p deg Z_k and top
+          coefficient lc(c_k) lc(Z_k), as Frobenius fixes F_p.  So lc(h)
+          is the top of the higher term, or the sum of both tops when
+          the degrees agree; c_1 and c_2 are scaled by 1 / lc(h), which
+          scales h and each residue of h by one unit and leaves every
+          gcd and quotient as it was.  Only when the tops cancel is h
+          made monic after it is built.
+        - The ends.  For x in F_p, Z^p(x) = Z(x)^p = Z(x), so
+          h(0) = sum c_k(0) Z_k(0) and h(1) = sum c_k(1) Z_k(1) come from
+          the short factors.  Every other factor of the result is prime
+          to t and t - 1: rad G, and E, a divisor of W_0 D.  So the
+          result has the roots at 0 and 1 that h has, and h is stripped
+          only when h(0) or h(1) is 0.
     The gcds run on entries of degree below p, on W_0 and W_0 D of degree
     below 2p and 4p, and on G at the degree of H_{i0-1}, about deg h1 / p.
-    Finally t and t - 1 are divided out; the radical is unique, so this
-    is the radical of the stripped h1, whatever powers of t and t - 1
-    the steps above left in place."""
+    The radical is unique, so this is the radical of the stripped h1."""
     return h1_radical_params(ctx, budget)[0]
 
 
@@ -979,8 +999,7 @@ def _layers_radical(layers) -> Optional[FpUniPoly]:
     layers A_0..A_{i0-1} (first and last dimension 1), by the cases of
     h1_radical's docstring; None when the composite is 0."""
     heads = _heads(layers[0][0][0].field, layers[:-1])
-    rad = _row_radical(layers, heads, len(layers) - 1, layers[-1][0])
-    return None if rad is None else _strip_01(rad)
+    return _row_radical(layers, heads, len(layers) - 1, layers[-1][0])
 
 
 def _radical_01(f: FpUniPoly) -> FpUniPoly:
@@ -1001,9 +1020,8 @@ def _lcm(a: FpUniPoly, b: FpUniPoly) -> FpUniPoly:
 
 def _row_radical(layers, heads, i: int, row) -> Optional[FpUniPoly]:
     """For X = sum_j row[j] * heads[i][j]^p, by the cases of h1_radical's
-    docstring: a monic polynomial with each irreducible factor of X other
-    than t and t - 1 once, and no other (t and t - 1 may appear to any
-    power); None when X = 0."""
+    docstring: the monic product of the distinct irreducible factors of X
+    other than t and t - 1; None when X = 0."""
     terms = [(c, y, j) for j, (c, y) in enumerate(zip(row, heads[i])) if not (c.is_zero or y.is_zero)]
     if not terms:
         return None
@@ -1021,13 +1039,26 @@ def _row_radical(layers, heads, i: int, row) -> Optional[FpUniPoly]:
         return None if inner is None else _lcm(_radical_01(g), inner)
     g = y1.gcd(y2)
     z1, z2 = y1 // g, y2 // g
-    p = g.field.p
+    field = g.field
+    p = field.p
+    # the top of h = c_1 Z_1^p + c_2 Z_2^p from the tops of its two terms;
+    # 1 / lc(h) is folded into c_1 and c_2, so that h is built monic
+    tops = [(c.degree + p * z.degree, c.coeffs[-1] * z.coeffs[-1]) for c, z in ((c1, z1), (c2, z2))]
+    top = max(d for d, _ in tops)
+    lc = sum(u for d, u in tops if d == top) % p
+    if lc:
+        inv = field.inv(lc)
+        c1, c2 = c1.scale(inv), c2.scale(inv)
 
     def h_mod(n):
         return (c1 * poly_powmod(z1, p, n) + c2 * poly_powmod(z2, p, n)) % n
 
-    h = _twisted_row((c1, c2), (z1.coeffs, z2.coeffs), g.field)
-    w0 = _strip_01(w)
+    h = _twisted_row((c1, c2), (z1.coeffs, z2.coeffs), field)
+    if not lc:
+        h = h.monic()
+    if not all(_twisted_ends((c1, c2), (z1, z2))):
+        h = _strip_01(h)
+    w0 = _strip_w(w)
     if w0.degree:
         d = w0.gcd(h_mod(w0))
         if d.degree:
@@ -1036,9 +1067,36 @@ def _row_radical(layers, heads, i: int, row) -> Optional[FpUniPoly]:
             h = h // (e // _radical_01(e))
     rad_g = _radical_01(g)
     if rad_g.degree == 0:
-        return h.monic()
+        return h
     # the lcm: rad G is squarefree, so its gcd with rad h is its gcd with h
-    return h.monic() * (rad_g // rad_g.gcd(h_mod(rad_g)))
+    return h * (rad_g // rad_g.gcd(h_mod(rad_g)))
+
+
+def _strip_w(w: FpUniPoly) -> FpUniPoly:
+    """_strip_01(w), with no pass per root at 1 when W is a unit times
+    t^v_0 (t - 1)^n: past its roots at 0, W of degree n < p is compared
+    with lc (t - 1)^n, whose terms lc C(n, i) (-1)^(n-i) come from one
+    ratio run (every i + 1 <= n is a unit), and if they are equal, W_0 is
+    the constant lc.  Any other W takes the generic strip."""
+    rest = w.strip_root(0)[1]
+    n, p = rest.degree, w.field.p
+    if n < p:
+        lc = rest.coeffs[-1]
+        run = _ratio_run(range(-n, 0), range(1, n + 1), p, (-1) ** n * lc % p)
+        if tuple(run) == rest.coeffs:
+            return FpUniPoly._raw(w.field, [lc])
+    return rest.strip_root(1)[1]
+
+
+def _twisted_ends(cs, zs) -> tuple:
+    """(h(0), h(1)) for h = sum_k c_k Z_k^p (every c_k and Z_k nonzero),
+    read off the short factors: Z^p(x) = Z(x)^p = Z(x) at every x of
+    F_p, so h(0) sums c_k(0) Z_k(0) and h(1) sums c_k(1) Z_k(1), each
+    value at 1 a coefficient sum."""
+    p = cs[0].field.p
+    pairs = [(c.coeffs, z.coeffs) for c, z in zip(cs, zs)]
+    return (sum(c[0] * z[0] for c, z in pairs) % p,
+            sum(sum(c) * sum(z) for c, z in pairs) % p)
 
 
 @dataclass(frozen=True)

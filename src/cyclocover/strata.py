@@ -340,7 +340,10 @@ def census(
     otherwise by FpUniPoly.gcd.  Other congruence classes get the two-row
     generic / non-generic report, certified by the radical of the anchor
     chain's composite, taken from the chain's last layer
-    (hassewitt.h1_radical)."""
+    (hassewitt.h1_radical).  The Nu row's polygon is basic_family(datum,
+    p), read from the memo as the stratum where every pair vanishes: the
+    orbits depend on p only mod m, and every orbit's representative
+    min(c, m - c) names a pair, so every orbit takes its basic piece."""
     if datum.r != 4 or datum.m not in (5, 7):
         raise UnsupportedFamily(
             f"census needs r=4 and m in {{5, 7}}: got m={datum.m}, r={datum.r}"
@@ -410,7 +413,7 @@ def census(
                 dim=dim_sh - 1,
                 nonempty=nonempty,
                 certificate=rad.to_text() if nonempty else None,
-                polygon=basic_family(datum, p),
+                polygon=_stratum_polygon(datum, cls, frozenset(c for c, _ in pairs)),
             ),
         ]
     return CensusReport(datum=datum, p=p, p_class=cls, dim_sh=dim_sh, strata=tuple(strata))
@@ -482,8 +485,13 @@ class RecordCache:
                     self._lines.setdefault(head.group(1).decode(), []).append((pos, end))
                 else:
                     # no newline inside: a carriage return ends a line, as
-                    # in a text-mode read
-                    for raw in data[pos:end].decode("utf-8").split("\r"):
+                    # in a text-mode read; a stretch that is not UTF-8 is
+                    # unreadable as a whole
+                    try:
+                        text = data[pos:end].decode("utf-8")
+                    except UnicodeDecodeError:
+                        text = ""
+                    for raw in text.split("\r"):
                         try:
                             obj = json.loads(raw.strip())
                         except ValueError:

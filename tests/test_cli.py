@@ -375,6 +375,18 @@ def test_cache_corruption_degrades_to_miss(tmp_path, capsys):
     assert path.read_text().splitlines()[-1].startswith('{"key":')
 
 
+def test_cache_line_that_is_not_utf8_is_a_miss(tmp_path, capsys):
+    argv = ("census", M7, "-p", "29", "-o", "json")
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0 and fresh[2] == ""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "census-cache.jsonl").write_bytes(b"\xff\xfe garbage\n")
+    assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
+    # the recomputed record was appended after the damaged line and replays
+    assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLOCOVER_CACHE_DIR", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "census", M7, "-p", "13", "-o", "json")
@@ -679,6 +691,23 @@ def test_twisted_products_are_byte_identical_to_the_recorded_digest(capsys, argv
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded while the last-layer radical still stripped W of its roots at 1
+# one pass per root, made h monic in its own pass and stripped the whole
+# radical of t and t - 1 at the end
+
+LONG_ORBIT_SHA256 = [
+    ("census 7:4:3,1,1,2 -p 1039 -o json", "038769dd06a2b49020900818411874d889c8432c6d05a645b8e4837ec7a3d79b"),
+    ("census 7:4:3,1,1,2 -p 2699 -o json", "d3f8a46ccb462b62c8167a96aecde90b5eeaac0ae0eb4d46195982d1169d45dd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LONG_ORBIT_SHA256)
+def test_long_orbit_radicals_are_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_long_orbit_census_makes_no_powmod(capsys, monkeypatch):
     # at every chain of these censuses W stripped of t and t - 1 is a
     # constant (and G has no root off 0 and 1), so the radical reduces
@@ -694,6 +723,28 @@ def test_long_orbit_census_makes_no_powmod(capsys, monkeypatch):
         code, out, _ = run(capsys, "census", M7, "-p", str(p), "-o", "json")
         assert code == 0 and '"label":"Nu","nonempty":true' in out, p
     assert calls == []
+
+
+def test_long_orbit_census_strips_no_root_at_1(capsys, monkeypatch):
+    # W is a unit times t^v_0 (t - 1)^n at every chain of these censuses,
+    # so its shape is checked in one pass, and h~ has no root at 1 there:
+    # no strip at 1 divides anything out
+    found = []
+    strip_root = FpUniPoly.strip_root
+
+    def counted(self, c):
+        k, rest = strip_root(self, c)
+        if c % self.field.p == 1:
+            found.append(k)
+        return k, rest
+
+    monkeypatch.setattr(FpUniPoly, "strip_root", counted)
+    primes = [p for p in range(31, 401) if p % 7 in (3, 4) and is_prime_u64(p)]
+    assert len(primes) == 24
+    for p in primes:
+        code, out, _ = run(capsys, "census", M7, "-p", str(p), "-o", "json")
+        assert code == 0 and '"label":"Nu","nonempty":true' in out, p
+    assert found and set(found) == {0}
 
 # recorded while the census took gcd(rad_2, rad_3) of M7-type data at the
 # full degree of the radicals: the odd-c class 6 survey (the gcd carries a

@@ -46,6 +46,7 @@ from cyclocover.hassewitt import (
     witness_count,
     _composite,
     _graded_slice,
+    _heads,
     _layers_radical,
     _phi_fabc_params,
     _psi_closed_form,
@@ -53,6 +54,9 @@ from cyclocover.hassewitt import (
     _slice_counts,
     _slice_multiplicity,
     _strip_01,
+    _strip_w,
+    _twisted_ends,
+    _twisted_row,
 )
 from cyclocover.monodromy import MonodromyDatum, signature
 
@@ -1377,24 +1381,99 @@ def _last_layer_cases(layers):
 W_PART_CHAINS = [((1, 1, 3, 4), 5, 7), ((2, 2, 6, 8), 5, 8)]
 
 
+def _last_layer_sample(seed):
+    """150 chains of _radical_chains below p = 30, drawn by seed, and the
+    W-part chains."""
+    rng = random.Random(seed)
+    # below p = 30 the full-degree oracle stays fast; the golden digest
+    # above pins every outcome up to p = 47
+    return rng.sample([ctx for ctx in _radical_chains() if ctx.p < 30], 150) + [
+        OrbitContext(MonodromyDatum(9, 4, a), p, b0) for a, p, b0 in W_PART_CHAINS
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_last_layer_radical_matches_the_generic_path(seed):
     # no chain of _radical_chains has W = 0 at its last layer, or a zero
     # entry there; test_layers_radical_on_constructed_chains reaches both
-    rng = random.Random(seed)
-    # below p = 30 the full-degree oracle stays fast; the golden digest
-    # above pins every outcome up to p = 47
-    chains = rng.sample([ctx for ctx in _radical_chains() if ctx.p < 30], 150) + [
-        OrbitContext(MonodromyDatum(9, 4, a), p, b0) for a, p, b0 in W_PART_CHAINS
-    ]
     reached = set()
-    for ctx in chains:
+    for ctx in _last_layer_sample(seed):
         layers = specialized_chain(ctx)
         want = radical_01(h1(ctx))
         assert _layers_radical(layers) == want, ctx
         assert h1_radical(ctx) == want, ctx
         reached |= _last_layer_cases(layers)
     assert reached >= {"i0=1", "i0=2", "i0=3", "d=1", "d=2", "deg W0>0", "deg G>0", "W-part"}
+
+
+def test_ends_of_h_from_the_short_factors():
+    # h~ = c_1 Z_1^p + c_2 Z_2^p at the last layer of two terms: its values
+    # at 0 and 1 read off c_k and Z_k equal those of the built h~
+    ends = set()
+    for ctx in _last_layer_sample(0) + _last_layer_sample(1):
+        layers = specialized_chain(ctx)
+        field = layers[0][0][0].field
+        heads = _heads(field, layers[:-1])
+        terms = [(c, y) for c, y in zip(layers[-1][0], heads[-1]) if not (c.is_zero or y.is_zero)]
+        if len(terms) != 2:
+            continue
+        (c1, y1), (c2, y2) = terms
+        g = y1.gcd(y2)
+        zs = (y1 // g, y2 // g)
+        h = _twisted_row((c1, c2), [z.coeffs for z in zs], field)
+        got = _twisted_ends((c1, c2), zs)
+        assert got == (h.evaluate(0), h.evaluate(1)), ctx
+        ends |= {("h(0)", bool(got[0])), ("h(1)", bool(got[1]))}
+    assert ends == {("h(0)", False), ("h(0)", True), ("h(1)", False), ("h(1)", True)}
+
+
+def _w_of(field, v0, v1, w0):
+    """t^v0 (t - 1)^v1 w0."""
+    power = FpUniPoly(field, [0] * v0 + [math.comb(v1, i) * (-1) ** (v1 - i) for i in range(v1 + 1)])
+    return power * w0
+
+
+@pytest.mark.parametrize("p", [3, 5, 179, 4621])
+def test_w_shape_check_matches_the_generic_strip(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+
+    def unit():
+        return FpUniPoly.constant(field, rng.randrange(1, p))
+
+    def poly():
+        return FpUniPoly(field, [rng.randrange(p) for _ in range(rng.randrange(2, 7))] + [rng.randrange(1, p)])
+
+    top = min(p - 1, 60)
+    cases = [
+        (0, 0, unit()), (rng.randrange(1, 9), 0, unit()), (0, rng.randrange(1, top + 1), unit()),
+        (rng.randrange(9), rng.randrange(top + 1), unit()), (rng.randrange(9), p - 1, unit()),
+        (0, 0, poly()), (rng.randrange(9), rng.randrange(top + 1), poly()),
+        (rng.randrange(1, 9), rng.randrange(1, top + 1), poly() * _w_of(field, 0, 1, unit())),
+    ]
+    if p < 200:
+        # n >= p: the generic strip
+        cases += [(rng.randrange(9), p, unit()), (rng.randrange(9), p - 1, poly())]
+    shapes = set()
+    for v0, v1, w0 in cases:
+        w = _w_of(field, v0, v1, w0)
+        want = _strip_01(w)
+        assert _strip_w(w) == want, (v0, v1, w0)
+        assert want.degree == 0 or w0.degree > 0
+        shapes.add(want.degree == 0)
+    assert shapes == {True, False}
+
+
+def test_last_layer_radical_when_the_tops_of_h_cancel():
+    # c_1 Z_1^p + c_2 Z_2^p with Z = (t, t + 1) and c = (t + 2, 1 - t): the
+    # two tops t^(p+1) cancel, so h~ is made monic after it is built
+    field = PrimeField(7)
+    t = FpUniPoly(field, [0, 1])
+    one = FpUniPoly.one(field)
+    layers = (((t,), (t + one,)), ((t + one + one, one - t),))
+    composite = compose_sigma_linear(layers, 7, lambda e, k: e.frobenius_pow(k), operator.mul, operator.add)[0][0]
+    assert composite.degree < 8
+    assert _layers_radical(layers) == radical_01(composite)
 
 
 def _constructed_layers(rng, p, dims):

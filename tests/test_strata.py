@@ -202,6 +202,19 @@ def test_family_polygon_height_and_slope_sum():
             assert lies_on_or_above(basic_family(datum, p), mu_ordinary_family(datum, p))
 
 
+def test_basic_family_is_the_stratum_where_every_pair_vanishes():
+    # census reads the Nu row's polygon from the memoized stratum polygon
+    for m in (5, 7):
+        every_pair = frozenset(range(1, (m + 1) // 2))
+        for a in itertools.combinations_with_replacement(range(1, m), 4):
+            if sum(a) % m or math.gcd(m, *a) != 1:
+                continue
+            datum = MonodromyDatum(m, 4, a)
+            for cls in range(1, m):
+                p = next(q for q in range(cls + 3 * m * m, 10**4, m) if is_prime_u64(q))
+                assert basic_family(datum, p) == strata._stratum_polygon(datum, cls, every_pair), (a, p)
+
+
 # ---------------------------------------------------------------- classify
 
 
