@@ -13,11 +13,12 @@ required only by the command that splits polynomials at random
 deterministic without one.  Identical invocations print byte-identical
 JSON.
 
-Census records can be cached in a JSON-lines file under cache_dir.  The
-key is a content hash of (command, datum, p, version), so a hit replays
-exactly the record a fresh run would produce.  census and survey both
-get their records from strata.census_records, so they share the cache,
-and a survey appends only the primes it had to compute.
+Census records can be cached under cache_dir, one JSON file per record
+named by its key.  The key is a content hash of (command, datum, p,
+version), so a hit replays exactly the record a fresh run would produce.
+census and survey both get their records from strata.census_records, so
+they share the cache, and a survey writes only the primes it had to
+compute.
 
 Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 4 invalid input.  Errors print one line to stderr in the form
@@ -112,7 +113,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInput(f"cannot read config file {path}: {e}") from None
     out = {}
     for no, raw in enumerate(lines, 1):
@@ -442,7 +443,7 @@ def _common_options() -> argparse.ArgumentParser:
                    help="worker processes (survey only)")
     g.add_argument("-o", "--output", choices=list(_OUTPUTS), default=None)
     g.add_argument("--cache-dir", default=None,
-                   help="directory for the JSON-lines census cache")
+                   help="directory of the census cache, one JSON file per record")
     g.add_argument("--config", default=None,
                    help="key=value file merged below env vars and flags")
     return par

@@ -10,7 +10,6 @@ valuation bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, ParamOutOfRange
@@ -43,12 +42,13 @@ class FabcParams:
             raise ParamOutOfRange(f"need 0 <= c <= a+b: got c={self.c}, a+b={self.a + self.b}")
 
 
-def _ratio_run(nums, dens, p: int, start: int = 1) -> list:
-    """[u_0, ..., u_n] with u_0 = start and u_(i+1) = u_i nums[i] / dens[i]
-    mod p, every dens[i] a unit.  u_i = start N_i / D_i with N_i and D_i
-    the prefix products; one pow inverts D_n, and walking back,
+def _ratio_run(nums, dens, p: int, start: int = 1, start_den: int = 1) -> list:
+    """[u_0, ..., u_n] with u_0 = start / start_den and
+    u_(i+1) = u_i nums[i] / dens[i] mod p, start_den and every dens[i] a
+    unit.  u_i = start N_i / D_i with N_i and D_i the prefix products
+    (D_0 = start_den); one pow inverts D_n, and walking back,
     1 / D_(i-1) = dens[i-1] / D_i gives every other inverse."""
-    out, num, den = [start], start, 1
+    out, num, den = [start], start, start_den
     for x, y in zip(nums, dens):
         num = num * x % p
         den = den * y % p
@@ -57,6 +57,7 @@ def _ratio_run(nums, dens, p: int, start: int = 1) -> list:
     for i in range(len(out) - 1, 0, -1):
         out[i] = out[i] * inv % p
         inv = inv * dens[i - 1] % p
+    out[0] = out[0] * inv % p
     return out
 
 
@@ -74,21 +75,29 @@ def fabc(params: FabcParams, monic: bool = False) -> FpUniPoly:
     deg f = hi, and _ratio_run takes the run with one pow.
     The run starts from the leading term u_hi = C(a,hi) C(b,c-hi), or
     from 1 for the monic polynomial, so no pass divides by it, and goes
-    down by the reciprocal ratios, the same units.
+    down by the reciprocal ratios, the same units.  u_hi enters the run
+    as a product over a product, C(n,k) = n (n-1) ... (n-k+1) / k! with
+    k <= n < p (k read as min(k, n-k)), so k! is a unit and the run's one
+    pow inverts it too.
       * Symmetry.  When a = b, u_i = C(a,i) C(a,c-i) = u_(c-i), and
         lo + hi = c, so u_lo = u_hi: the run goes up from u_lo, only
         lo <= i <= c // 2 is built, and the rest is the same run read
         backwards."""
     a, b, c, p = params.a, params.b, params.c, params.p
     lo, hi = max(0, c - b), min(a, c)
-    start = 1 if monic else math.comb(a, hi) * math.comb(b, c - hi) % p
+    num = den = 1
+    if not monic:
+        for n, k in ((a, hi), (b, c - hi)):
+            for i in range(min(k, n - k)):
+                num = num * (n - i) % p
+                den = den * (i + 1) % p
     if a == b:
         steps = range(lo, c // 2)
-        half = _ratio_run([(a - i) * (c - i) for i in steps], [(i + 1) * (b - c + i + 1) for i in steps], p, start)
+        half = _ratio_run([(a - i) * (c - i) for i in steps], [(i + 1) * (b - c + i + 1) for i in steps], p, num, den)
         body = half + half[: c - c // 2 - lo][::-1]
     else:
         steps = range(hi - 1, lo - 1, -1)
-        body = _ratio_run([(i + 1) * (b - c + i + 1) for i in steps], [(a - i) * (c - i) for i in steps], p, start)[::-1]
+        body = _ratio_run([(i + 1) * (b - c + i + 1) for i in steps], [(a - i) * (c - i) for i in steps], p, num, den)[::-1]
     return FpUniPoly._raw(PrimeField(p), [0] * lo + body)
 
 

@@ -730,7 +730,10 @@ def h1(ctx: OrbitContext, budget: int = DEFAULT_TERM_BUDGET) -> FpUniPoly:
 def _budgeted_chain(ctx: OrbitContext, budget: int) -> tuple:
     """specialized_chain, refused when the composite's degree estimate
     sum_i p^(i0-1-i) * (largest entry degree of layer i) reaches the
-    budget."""
+    budget.  A chain of one phi entry is refused before it is built, by
+    h1_fabc_params' check of the entry's degree min(a, c), the same
+    estimate."""
+    h1_fabc_params(ctx, budget)
     layers = specialized_chain(ctx)
     est = 0
     for i, mat in enumerate(layers):

@@ -23,6 +23,7 @@ no gcd(f, f'); longer chains take theirs from the chain's last layer,
 with no gcd at the degree of the composite.
 """
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -30,7 +31,6 @@ import io
 import json
 import math
 import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -443,75 +443,18 @@ def _is_census_record(rec) -> bool:
     )
 
 
-# the start of a line as RecordCache.put writes it, the key as group 1
-_CANONICAL_LINE = re.compile(rb'\{"key":"([0-9a-f]{64})","record":')
-
-
 class RecordCache:
-    """Append-only JSON-lines store of census records.
+    """Census records, one file per key: <cache_dir>/<key>.json holds the
+    record's canonical_json.
 
-    Inert when no cache_dir is configured.  Unreadable lines and records
-    of the wrong shape are treated as misses, so a damaged file degrades
-    to recomputation, never to a wrong answer or a crash.
-
-    Opening the file only indexes its lines by key; a line is parsed and
-    its record checked when its key is first looked up, so a census that
-    reads one record parses no other.  A line that starts as put writes
-    it, '{"key":"<64 hex>","record":', takes its key from that prefix
-    when no "k", backslash or carriage return follows, so no later member
-    can also be named key (JSON would let it win).  Any other stretch up
-    to a newline is split as a text-mode read splits it and each line
-    parsed at once to find its key.  For each key the last line holding a
-    valid record wins, and a later torn or invalid line does not hide an
-    earlier valid one."""
+    Inert when no cache_dir is configured.  A record file that cannot be
+    opened or parsed, or whose record has the wrong shape, is a miss, so
+    a damaged cache degrades to recomputation, never to a wrong answer or
+    a crash.  put writes a temporary file beside the key's file and
+    renames it over that file, so a reader sees a whole record or none."""
 
     def __init__(self, cache_dir: Optional[str]):
-        self.path = os.path.join(cache_dir, "census-cache.jsonl") if cache_dir else None
-        self._records: dict = {}
-        # key -> its lines not read yet, in file order: the (start, end)
-        # offsets of a canonical line in _data, or the object parsed to
-        # find the key
-        self._lines: dict = {}
-        self._data = b""
-        if self.path and os.path.exists(self.path):
-            with open(self.path, "rb") as fh:
-                self._data = data = fh.read()
-            pos = 0
-            while pos < len(data):
-                end = data.find(b"\n", pos)
-                end = len(data) if end < 0 else end
-                head = _CANONICAL_LINE.match(data, pos, end)
-                if head and all(data.find(c, pos + 3, end) < 0 for c in (b"k", b"\\", b"\r")):
-                    self._lines.setdefault(head.group(1).decode(), []).append((pos, end))
-                else:
-                    # no newline inside: a carriage return ends a line, as
-                    # in a text-mode read; a stretch that is not UTF-8 is
-                    # unreadable as a whole
-                    try:
-                        text = data[pos:end].decode("utf-8")
-                    except UnicodeDecodeError:
-                        text = ""
-                    for raw in text.split("\r"):
-                        try:
-                            obj = json.loads(raw.strip())
-                        except ValueError:
-                            continue
-                        if isinstance(obj, dict) and isinstance(obj.get("key"), str):
-                            self._lines.setdefault(obj["key"], []).append(obj)
-                pos = end + 1
-
-    def _lookup(self, key: str) -> Optional[dict]:
-        """The record stored for key, reading its lines on first use."""
-        for line in reversed(self._lines.pop(key, ())):
-            if isinstance(line, tuple):
-                try:
-                    line = json.loads(self._data[line[0]:line[1]])
-                except ValueError:
-                    continue
-            if _is_census_record(line.get("record")):
-                self._records[key] = line["record"]
-                break
-        return self._records.get(key)
+        self.cache_dir = cache_dir
 
     @staticmethod
     def key(datum: MonodromyDatum, p: int) -> str:
@@ -522,24 +465,29 @@ class RecordCache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> Optional[dict]:
-        return self._lookup(key)
+        if self.cache_dir is None:
+            return None
+        try:
+            with open(os.path.join(self.cache_dir, key + ".json"), encoding="utf-8") as fh:
+                record = json.load(fh)
+        except (OSError, ValueError, RecursionError):
+            return None
+        return record if _is_census_record(record) else None
 
     def put(self, key: str, record: dict) -> None:
-        if self._lookup(key) is not None:
+        if self.cache_dir is None:
             return
-        self._records[key] = record
-        if self.path is None:
-            return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        line = canonical_json({"key": key, "record": record}) + "\n"
-        with open(self.path, "a+b") as fh:
-            # after a torn last line (a writer stopped mid-line), end it
-            # first, so the record starts a line of its own
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = "\n" + line
-            fh.write(line.encode("utf-8"))
+        path = os.path.join(self.cache_dir, key + ".json")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(record))
+            os.replace(tmp, path)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise InvalidInput(f"cannot write the census cache in {self.cache_dir}: {exc}") from None
 
 
 def _census_task(datum: MonodromyDatum, p: int, allow_small: bool, budget: int) -> dict:
@@ -559,9 +507,9 @@ def census_records(
     Records found in the cache are replayed as stored, without a new
     census, so allow_small and budget bear on the misses only.  The
     misses are computed serially, or in a process pool of
-    min(workers, misses, CPUs) workers, and appended to the cache in the
-    order of `primes`, so the cache file does not depend on the worker
-    count."""
+    min(workers, misses, CPUs) workers, and each is stored in the cache
+    as a file of its own, so the cache's files do not depend on the
+    worker count."""
     if workers < 1:
         raise ParamOutOfRange(f"workers must be >= 1: got {workers}")
     if cache is None:

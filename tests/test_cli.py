@@ -10,14 +10,14 @@ import time
 
 import pytest
 
-from cyclocover import ff, hassewitt
+from cyclocover import ff, hassewitt, strata
 from cyclocover.cli import RecordCache, RunConfig, build_config, main, read_config_file
 from cyclocover.errors import InvalidInput, ParamOutOfRange
 from cyclocover.fabc import FabcParams, fabc
 from cyclocover.ff import FpUniPoly, is_prime_u64
 from cyclocover.hassewitt import OrbitContext, h1, phi_entry, psi_entry
 from cyclocover.monodromy import MonodromyDatum, canonicalize, parse_datum, signature
-from cyclocover.strata import census, prime_survey
+from cyclocover.strata import canonical_json, census, prime_survey
 
 M7 = "7:4:3,1,1,2"
 
@@ -203,6 +203,21 @@ def test_hw_over_budget_slice_is_refused_before_it_is_walked(capsys, argv):
     assert err == "error[degree-budget-exceeded]: graded slice exceeds 1000000 terms\n"
 
 
+@pytest.mark.parametrize("p", ["10000019", "10000339"])
+def test_hw_h1_of_one_phi_entry_is_refused_before_it_is_built(capsys, monkeypatch, p):
+    # p = 1 and -1 mod 7: the chain is one phi entry of degree ~p / 7;
+    # building it first took 66 s on a 2-vCPU x86-64 host, and the
+    # refusal is the line witness prints for the same chain and budget
+    budget = ("--b0", "5", "--term-budget", "1000000")
+    monkeypatch.setattr(hassewitt, "specialized_chain", lambda ctx: pytest.fail("chain built"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hw", "h1", M7, "-p", p, *budget)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err.startswith("error[degree-budget-exceeded]: composite degree ~")
+    assert run(capsys, "witness", M7, "-p", p, "--seed", "1", *budget) == (3, "", err)
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -341,49 +356,54 @@ def test_survey_csv(capsys):
 # cache
 
 
+def _record_files(cache_dir):
+    """{name: (bytes, mtime_ns)} of every file in a cache directory."""
+    return {path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(cache_dir.iterdir())}
+
+
+def _record_path(cache_dir, p):
+    return cache_dir / (RecordCache.key(parse_datum(M7), p) + ".json")
+
+
 def test_cache_roundtrip(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
+    cache_dir = tmp_path / "cache"
     argv = ("survey", M7, "--class", "6", "--count", "2", "-o", "json",
-            "--cache-dir", cache_dir)
+            "--cache-dir", str(cache_dir))
     first = run(capsys, *argv)
     assert first[0] == 0
-    path = tmp_path / "cache" / "census-cache.jsonl"
-    stored = path.read_text()
-    assert len(stored.splitlines()) == 2
+    stored = _record_files(cache_dir)
+    assert sorted(stored) == sorted(_record_path(cache_dir, p).name for p in (13, 41))
 
     second = run(capsys, *argv)
     assert second == first
-    assert path.read_text() == stored  # replayed, not re-appended
+    assert _record_files(cache_dir) == stored  # replayed, no file rewritten
 
     # census shares the survey's cache entries
     code, out, _ = run(capsys, "census", M7, "-p", "13", "-o", "json",
-                       "--cache-dir", cache_dir)
+                       "--cache-dir", str(cache_dir))
     assert code == 0
     assert out == CENSUS_13_LINE + "\n"
-    assert path.read_text() == stored
+    assert _record_files(cache_dir) == stored
 
 
-def test_cache_corruption_degrades_to_miss(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    argv = ("census", M7, "-p", "13", "-o", "json", "--cache-dir", cache_dir)
-    first = run(capsys, *argv)
-    path = tmp_path / "cache" / "census-cache.jsonl"
-    path.write_text("not json at all\n{\"key\":\"zz\"}\n")
-    second = run(capsys, *argv)
-    assert second == first
-    # the record was recomputed and appended after the junk
-    assert path.read_text().splitlines()[-1].startswith('{"key":')
-
-
-def test_cache_line_that_is_not_utf8_is_a_miss(tmp_path, capsys):
-    argv = ("census", M7, "-p", "29", "-o", "json")
+@pytest.mark.parametrize("damage", [
+    b"not json at all\n",
+    b"\xff\xfe garbage\n",                   # not UTF-8
+    b"[" * 200000,                              # too deep to parse
+    CENSUS_13_LINE.encode()[:-40],              # torn
+], ids=["not-json", "not-utf8", "deep", "torn"])
+def test_damaged_cache_record_is_a_miss_and_is_repaired(tmp_path, capsys, damage):
+    argv = ("census", M7, "-p", "13", "-o", "json")
     fresh = run(capsys, *argv)
-    assert fresh[0] == 0 and fresh[2] == ""
+    assert fresh == (0, CENSUS_13_LINE + "\n", "")
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    (cache_dir / "census-cache.jsonl").write_bytes(b"\xff\xfe garbage\n")
+    path = _record_path(cache_dir, 13)
+    path.write_bytes(damage)
     assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
-    # the recomputed record was appended after the damaged line and replays
+    # the recomputed record replaced the damaged one and now replays
+    assert path.read_text() == CENSUS_13_LINE
     assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
 
 
@@ -391,7 +411,63 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLOCOVER_CACHE_DIR", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "census", M7, "-p", "13", "-o", "json")
     assert code == 0
-    assert (tmp_path / "envcache" / "census-cache.jsonl").exists()
+    assert _record_path(tmp_path / "envcache", 13).read_text() == CENSUS_13_LINE
+
+
+def test_old_cache_file_is_neither_read_nor_changed(tmp_path, capsys):
+    # a census-cache.jsonl line under 13's key holding 29's record: were
+    # it read, census -p 13 would replay the wrong record
+    wrong = census(parse_datum(M7), 29).to_json_record()
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    old = cache_dir / "census-cache.jsonl"
+    old.write_text(json.dumps({"key": RecordCache.key(parse_datum(M7), 13), "record": wrong}) + "\n")
+    before = _record_files(cache_dir)
+    assert run(capsys, "census", M7, "-p", "13", "-o", "json",
+               "--cache-dir", str(cache_dir)) == (0, CENSUS_13_LINE + "\n", "")
+    assert _record_files(cache_dir)[old.name] == before[old.name]
+
+
+def test_old_cache_path_that_is_a_directory_is_ignored(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    (cache_dir / "census-cache.jsonl").mkdir(parents=True)
+    assert run(capsys, "census", M7, "-p", "13", "-o", "json",
+               "--cache-dir", str(cache_dir)) == (0, CENSUS_13_LINE + "\n", "")
+    assert _record_path(cache_dir, 13).read_text() == CENSUS_13_LINE
+
+
+def test_stray_temporary_record_file_is_ignored(tmp_path, capsys):
+    # a writer stopped before its rename leaves <key>.json.<pid>.tmp; it
+    # holds a valid record, but only <key>.json is ever read
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = _record_path(cache_dir, 13)
+    stray = path.with_name(path.name + ".0.tmp")
+    stray.write_text(canonical_json(census(parse_datum(M7), 29).to_json_record()))
+    before = stray.read_bytes()
+    assert run(capsys, "census", M7, "-p", "13", "-o", "json",
+               "--cache-dir", str(cache_dir)) == (0, CENSUS_13_LINE + "\n", "")
+    assert path.read_text() == CENSUS_13_LINE and stray.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", M7, "-p", "13", "-o", "json"),
+    ("survey", M7, "--class", "6", "--count", "3"),
+])
+@pytest.mark.parametrize("unwritable", ["cache-dir-is-a-file", "record-path-is-a-directory"])
+def test_unwritable_cache_is_invalid_input(tmp_path, capsys, argv, unwritable):
+    cache_dir = tmp_path / "cache"
+    if unwritable == "cache-dir-is-a-file":
+        cache_dir.write_text("not a directory\n")
+    else:
+        _record_path(cache_dir, 13).mkdir(parents=True)
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error[invalid-input]: cannot write the census cache in {cache_dir}: ")
+    assert err.count("\n") == 1
+    if unwritable == "record-path-is-a-directory":
+        # the failed write leaves no temporary file behind
+        assert [path.name for path in cache_dir.iterdir()] == [_record_path(cache_dir, 13).name]
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -413,16 +489,27 @@ def test_survey_stdout_is_the_library_survey(tmp_path, capsys, congruence, worke
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_cache_file_bytes_after_census_then_survey(tmp_path, capsys, workers):
-    # digest recorded before census and survey shared one record pipeline:
-    # the census at 41 is stored first, the survey appends 13 and then 83
-    cache_dir = str(tmp_path / "cache")
+def test_cache_record_files_after_census_then_survey(tmp_path, capsys, workers):
+    # one file per record, each the canonical_json of a fresh census
+    # record, whatever the worker count
+    cache_dir = tmp_path / "cache"
     assert run(capsys, "census", M7, "-p", "41", "-o", "json",
-               "--cache-dir", cache_dir)[0] == 0
+               "--cache-dir", str(cache_dir))[0] == 0
     assert run(capsys, "survey", M7, "--class", "6", "--count", "3",
-               "--workers", workers, "--cache-dir", cache_dir)[0] == 0
-    stored = (tmp_path / "cache" / "census-cache.jsonl").read_bytes()
-    assert hashlib.sha256(stored).hexdigest() == (
+               "--workers", workers, "--cache-dir", str(cache_dir))[0] == 0
+    d = parse_datum(M7)
+    assert {name: data for name, (data, _) in _record_files(cache_dir).items()} == {
+        _record_path(cache_dir, p).name: canonical_json(census(d, p, allow_small=True).to_json_record()).encode()
+        for p in (13, 41, 83)
+    }
+    # the same records as the JSON-lines file this layout replaced, whose
+    # digest was recorded with the census at 41 stored first, then 13, 83
+    lines = "".join(
+        canonical_json({"key": RecordCache.key(d, p),
+                        "record": json.loads(_record_path(cache_dir, p).read_text())}) + "\n"
+        for p in (41, 13, 83)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
         "286b54d134aba75d652740c4acf64b7c9ad8480809588039c925fb5e778af4a9"
     )
 
@@ -477,6 +564,15 @@ def test_config_file_used_by_main(tmp_path, capsys):
                        "-o", "human")
     assert code == 0
     assert out.startswith("datum ")
+
+
+def test_config_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"workers=\xff\n")
+    code, out, err = run(capsys, "mu-ord", M7, "-p", "29", "--config", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error[invalid-input]: cannot read config file {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_runconfig_invariants():
@@ -1013,10 +1109,6 @@ def test_census_term_budget_below_entry_degree(capsys, argv, line):
 # damaged cache records and malformed datum JSON
 
 
-def _cache_line(key, record):
-    return json.dumps({"key": key, "record": record}) + "\n"
-
-
 GOOD_STRATUM = {"certificate": None, "dim": 2, "label": "MuOrdinary", "nonempty": True}
 MALFORMED_RECORDS = [
     {},
@@ -1042,11 +1134,11 @@ def test_malformed_cache_record_is_a_miss(tmp_path, capsys, argv, record):
     assert fresh[0] == 0
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    key = RecordCache.key(parse_datum(M7), 13)
-    path = cache_dir / "census-cache.jsonl"
-    path.write_text(_cache_line(key, record) + _cache_line([key], {}))
+    path = _record_path(cache_dir, 13)
+    path.write_text(json.dumps(record))
     assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
-    # the recomputed record was appended and now replays
+    # the recomputed record replaced the malformed one and now replays
+    assert strata._is_census_record(json.loads(path.read_text()))
     assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
 
 

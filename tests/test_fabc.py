@@ -309,6 +309,21 @@ def test_term_ratio_builder_on_seeded_triples(p):
         assert fabc(q, monic=True).to_json() == _monic_brute(a, b, c, p), (a, b, c)
 
 
+@pytest.mark.parametrize("p", [300007, 1000133])
+def test_leading_term_is_taken_mod_p(p):
+    # C(a, hi) C(b, c - hi) mod p, with no exact binomial of ~p / 2 digits:
+    # those alone took 1.7 s at p = 1000133 on a 2-vCPU x86-64 host
+    from cyclocover.ff import binomial_mod_p
+
+    for a, b, c in ((2 * p // 3, p // 2, p // 3), (p // 2, p - 1, 3 * p // 4)):
+        start = time.perf_counter()
+        f = fabc(FabcParams(a, b, c, p))
+        assert time.perf_counter() - start < 3
+        hi = min(a, c)
+        assert f.degree == hi
+        assert f.coeffs[-1] == binomial_mod_p(a, hi, p) * binomial_mod_p(b, c - hi, p) % p
+
+
 def test_census_radicals_are_the_monic_term_ratio_runs():
     # the reduced parameters of the census radicals have a = b and c <= a,
     # so the monic radical is the ratio run from 1, read back from the

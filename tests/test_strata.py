@@ -542,83 +542,47 @@ def test_census_records_bounds_the_pool(monkeypatch, tmp_path, workers, cpus, ca
     assert _FakePool.sizes == ([] if size is None else [size])
 
 
-def test_census_records_appends_misses_in_prime_order(tmp_path):
+def test_census_records_stores_each_miss_in_a_file_of_its_own(tmp_path):
     cache = RecordCache(str(tmp_path))
     cache.put(RecordCache.key(M7_FAMILY, 43), census(M7_FAMILY, 43).to_json_record())
     records = census_records(M7_FAMILY, [71, 43, 29], cache=cache)
     assert [r["p"] for r in records] == [71, 43, 29]
-    lines = (tmp_path / "census-cache.jsonl").read_text().splitlines()
-    assert [json.loads(line)["record"]["p"] for line in lines] == [43, 71, 29]
-    # a fresh cache over the same file replays every record
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == {
+        RecordCache.key(M7_FAMILY, r["p"]) + ".json": strata.canonical_json(r) for r in records
+    }
+    # a fresh cache over the same directory replays every record
     assert census_records(M7_FAMILY, [71, 43, 29], cache=RecordCache(str(tmp_path))) == records
 
 
-def _eager_cache_read(path):
-    """Every record of a cache file as a reader that parses each line of a
-    text-mode read would find it: the last valid line for a key wins."""
-    records = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            try:
-                obj = json.loads(raw.strip())
-            except ValueError:
-                continue
-            if (isinstance(obj, dict) and isinstance(obj.get("key"), str)
-                    and strata._is_census_record(obj.get("record"))):
-                records[obj["key"]] = obj["record"]
-    return records
-
-
-def test_record_cache_reads_every_line_as_an_eager_reader_would(tmp_path, monkeypatch):
-    rec = {p: census(M7_FAMILY, p).to_json_record() for p in (29, 43, 71)}
-    k = [RecordCache.key(M7_FAMILY, p) for p in (29, 43, 71, 113, 127, 197, 211)]
-
-    def canonical(key, record):
-        return strata.canonical_json({"key": key, "record": record})
-
-    lines = [
-        canonical(k[0], rec[29]),
-        canonical(k[0], rec[43]),                       # same key twice: the later wins
-        canonical(k[1], rec[43]),
-        canonical(k[1], rec[71])[:-40],                 # torn: the earlier line stands
-        json.dumps({"record": rec[29], "key": k[2]}, indent=1).replace("\n", " "),
-        canonical(k[2], {"p": 1}),                      # invalid: the non-canonical line stands
-        canonical(k[3], rec[71]),
-        json.dumps({"key": k[3], "record": rec[29]}),   # non-canonical and later: it wins
-        canonical(k[4], rec[71])[:-1] + f',"key":"{k[5]}"}}',  # a later member names the key
-        '{"\\u006bey":"%s","record":%s}' % (k[6], json.dumps(rec[43])),
-        "",
-        "not json",
-        # a lone carriage return ends a line; leading blanks are not canonical
-        canonical(k[6], rec[29]) + "\r  " + canonical(k[0], rec[71]) + " \r",
-        canonical(k[6], rec[71])[:100],                 # torn last line, no newline
-    ]
-    path = tmp_path / "census-cache.jsonl"
-    path.write_bytes("\n".join(lines).encode("utf-8"))
-    want = _eager_cache_read(path)
-    assert want == {k[0]: rec[71], k[1]: rec[43], k[2]: rec[29], k[3]: rec[29],
-                    k[5]: rec[71], k[6]: rec[29]}
+def test_record_cache_get_opens_at_most_one_file(tmp_path, monkeypatch):
     cache = RecordCache(str(tmp_path))
-    for key in k + ["0" * 64]:
-        assert cache.get(key) == want.get(key), key
-        assert cache.get(key) == want.get(key), key  # a second lookup reads the same
+    keys = [RecordCache.key(M7_FAMILY, p) for p in (29, 43, 71)]
+    for key, p in zip(keys, (29, 43, 71)):
+        cache.put(key, census(M7_FAMILY, p).to_json_record())
+    (tmp_path / (keys[2] + ".json")).write_text("{torn")
+    opened = []
+    real_open = open
 
-    # put looks its key up without the public get, and appends only a miss
-    def no_get(self, key):
-        raise AssertionError("put called get")
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
 
-    cache = RecordCache(str(tmp_path))
-    monkeypatch.setattr(RecordCache, "get", no_get)
-    size = len(path.read_bytes())
-    cache.put(k[1], rec[29])
-    assert len(path.read_bytes()) == size
-    cache.put(k[4], rec[29])
-    assert path.read_text(encoding="utf-8").endswith(canonical(k[4], rec[29]) + "\n")
-    # the put after the torn last line started a line of its own: a fresh
-    # cache reads it back, and every record it read before
-    monkeypatch.undo()
-    fresh = RecordCache(str(tmp_path))
-    assert {key: fresh.get(key) for key in k if fresh.get(key)} == {**want, k[4]: rec[29]}
+    monkeypatch.setattr("builtins.open", counting_open)
+    for key, want in ((keys[0], 29), (keys[1], 43), (keys[2], None), ("0" * 64, None)):
+        opened.clear()
+        rec = cache.get(key)
+        assert (rec and rec["p"]) == want
+        assert opened == [str(tmp_path / (key + ".json"))]
+    opened.clear()
+    assert RecordCache(None).get(keys[0]) is None and opened == []
+
+
+def test_record_cache_without_a_directory_is_inert(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = RecordCache(None)
+    key = RecordCache.key(M7_FAMILY, 29)
+    cache.put(key, census(M7_FAMILY, 29).to_json_record())
+    assert cache.get(key) is None and list(tmp_path.iterdir()) == []
 
 
 def test_stratum_polygons_memoized_by_residue_class():
