@@ -15,7 +15,12 @@ The census decides each vanishing pattern exactly, by gcds and cofactors
 of the radicals of the phi_c away from 0 and 1, and attaches those
 polynomials as certificates.  In the remaining congruence classes only
 the generic/non-generic split is reported, certified by the radical of
-the chain polynomial at the smallest anchor character.  Every radical is
+the chain polynomial at the smallest anchor character.  One row builder,
+_census_rows, lists every stratum below the generic one with its
+dimension, certificate and vanishing pairs; census reports its rows, and
+classify_m7 labels a point by the one certificate that vanishes there.
+The gcd of two radicals is fabc.fabc_gcd, at half their degree when both
+are symmetric f(a,a,c).  Every radical is
 hassewitt.h1_radical, the one the witness search also uses: in the
 classes p = +-1 mod m phi_c is a single entry +-f(a,b,c) and its radical
 is the closed form f(strip(a,b,c).reduced), with no chain composite and
@@ -56,7 +61,6 @@ from .ff import (
 from .hassewitt import (
     OrbitContext,
     branch_exponents,
-    h1,
     h1_radical,
     h1_radical_params,
     _phi_fabc_params,
@@ -252,7 +256,9 @@ def _vanishes_at(f: FpUniPoly, alpha) -> bool:
 
 def classify_m7(p: int, alpha, budget: int = DEFAULT_TERM_BUDGET) -> Classification:
     """Stratum of the curve with coordinate alpha in the (7,4,(3,1,1,2))
-    family: read off which of phi_2, phi_3 vanish at alpha.
+    family: the census row whose certificate vanishes at alpha, or
+    MuOrdinary when none does.  The certificates are coprime, so at most
+    one vanishes there.
 
     alpha may be an integer (prime-field point) or an ExtFieldElem."""
     field = PrimeField(p)
@@ -267,21 +273,14 @@ def classify_m7(p: int, alpha, budget: int = DEFAULT_TERM_BUDGET) -> Classificat
         excluded = alpha % p in (0, 1)
     if excluded:
         raise ParamOutOfRange("alpha must avoid 0 and 1")
-    vanishing = set()
-    for c in (2, 3):
-        if _vanishes_at(h1(OrbitContext(M7_FAMILY, p, 7 - c), budget), alpha):
-            vanishing.add(c)
-    if not vanishing:
-        kind = LABEL_MU_ORDINARY
-    elif vanishing == {3}:
-        kind = LABEL_W2
-    elif vanishing == {2}:
-        kind = LABEL_W3
-    else:
-        kind = LABEL_BASIC
+    _, rows = _census_rows(M7_FAMILY, p, budget)
+    kind, vanishing = next(
+        ((kind, vanishing) for kind, _, cert, vanishing in rows if _vanishes_at(cert, alpha)),
+        (LABEL_MU_ORDINARY, frozenset()),
+    )
     return Classification(
         label=StratumLabel(kind, 7, cls),
-        polygon=_stratum_polygon(M7_FAMILY, cls, frozenset(vanishing)),
+        polygon=_stratum_polygon(M7_FAMILY, cls, vanishing),
     )
 
 
@@ -321,6 +320,56 @@ class CensusReport:
         return canonical_json(self.to_json_record())
 
 
+def _balanced_reps(sig, m: int) -> list:
+    """Representatives c < m - c of the balanced pairs {c, m - c}, those
+    with signature 1 at c and at m - c."""
+    return [c for c in range(1, (m + 1) // 2) if sig[c] == 1 and sig[m - c] == 1]
+
+
+def _census_rows(datum: MonodromyDatum, p: int, budget: int) -> tuple:
+    """(dim_sh, rows): the Shimura dimension of the family and one row
+    (kind, dim, certificate, vanishing) per stratum below MuOrdinary.  The
+    certificate is a monic polynomial in the curve coordinate whose roots
+    are the stratum's points, and `vanishing` names the pairs (by their
+    representative min(c, m - c)) that drop to the bottom piece there.
+
+    For p = +-1 mod m each balanced pair's chain polynomial phi_c is one
+    f(a,b,c), and its radical away from 0 and 1 the closed form of
+    hassewitt.h1_radical_params.  One balanced pair gives the Basic row,
+    certified by its radical; M7's pairs {2, 3} give W2, W3 and Basic,
+    certified by the two cofactors and the gcd of the two radicals
+    (fabc.fabc_gcd).  Other congruence classes give the Nu row, where
+    every pair drops, certified by the radical of the anchor chain
+    (hassewitt.h1_radical).  The radicals are computed before the refusal
+    of a family with other balanced pairs; callers validate p."""
+    m = datum.m
+    sig = signature(datum)
+    dim_sh = sum(sig[c] * sig[m - c] for c in range(1, (m + 1) // 2))
+    if p % m not in (1, m - 1):
+        anchor = min(c for c in range(1, m) if sig[c] == 1)
+        rad = h1_radical(OrbitContext(datum, p, m - anchor), budget)
+        return dim_sh, [(LABEL_NU, dim_sh - 1, rad, frozenset(range(1, (m + 1) // 2)))]
+    reps = _balanced_reps(sig, m)
+    found = {c: h1_radical_params(OrbitContext(datum, p, m - c), budget) for c in reps}
+    if len(reps) == 1:
+        return dim_sh, [(LABEL_BASIC, dim_sh - 1, found[reps[0]][0], frozenset(reps))]
+    if m != 7 or reps != [2, 3]:
+        raise UnsupportedFamily(f"no stratum labels for {len(reps)} balanced pairs (m={m})")
+    (rad2, q2), (rad3, q3) = found[2], found[3]
+    g = fabc_gcd(q2, q3)
+    # g and the radicals are monic, so each quotient is too; no division
+    # when g is 1 or the radical itself
+    one = FpUniPoly.one(g.field)
+    w2_cof, w3_cof = (
+        rad if g.degree == 0 else one if rad == g else rad // g for rad in (rad3, rad2)
+    )
+    return dim_sh, [
+        (LABEL_W2, dim_sh - 1, w2_cof, frozenset({3})),
+        (LABEL_W3, dim_sh - 1, w3_cof, frozenset({2})),
+        (LABEL_BASIC, dim_sh - 2, g, frozenset({2, 3})),
+    ]
+
+
 def census(
     datum: MonodromyDatum,
     p: int,
@@ -329,19 +378,17 @@ def census(
 ) -> CensusReport:
     """Which strata meet the family at prime p, with exact certificates.
 
-    For p = +-1 mod m each balanced pair's chain polynomial phi_c is
-    stripped of its roots at 0 and 1 and reduced to its radical, read off
-    the f(a,b,c) closed form (hassewitt.h1_radical_params); the strata
-    then read off gcds: a pattern is realized exactly when the matching
-    cofactor has positive degree.  For M7's two pairs the Basic
-    certificate is the gcd of the two radicals and the W2 / W3
-    certificates its cofactors; when both radicals are symmetric,
-    f(a,a,c), the gcd is taken at half their degree (fabc.fabc_gcd),
-    otherwise by FpUniPoly.gcd.  Other congruence classes get the two-row
+    The rows below MuOrdinary and their certificates come from
+    _census_rows: for p = +-1 mod m the gcds and cofactors of the
+    balanced pairs' radicals, read off the f(a,b,c) closed form (a
+    pattern is realized exactly when its certificate has positive
+    degree), with the gcd of two symmetric radicals f(a,a,c) taken at
+    half their degree (fabc.fabc_gcd); in the other classes the two-row
     generic / non-generic report, certified by the radical of the anchor
     chain's composite, taken from the chain's last layer
-    (hassewitt.h1_radical).  The Nu row's polygon is basic_family(datum,
-    p), read from the memo as the stratum where every pair vanishes: the
+    (hassewitt.h1_radical).  The MuOrdinary row is always nonempty and
+    has no certificate.  The Nu row's polygon is basic_family(datum, p),
+    read from the memo as the stratum where every pair vanishes: the
     orbits depend on p only mod m, and every orbit's representative
     min(c, m - c) names a pair, so every orbit takes its basic piece."""
     if datum.r != 4 or datum.m not in (5, 7):
@@ -355,67 +402,20 @@ def census(
         raise HypothesisNotMet(
             f"census assumes p > {3 * datum.m}; pass allow_small=True to force p = {p}"
         )
-    m = datum.m
-    sig = signature(datum)
-    cls = p % m
-    pairs = [(c, m - c) for c in range(1, (m + 1) // 2)]
-    dim_sh = sum(sig[c] * sig[m - c] for c, _ in pairs)
-    reps = [c for c, cc in pairs if sig[c] == 1 and sig[cc] == 1]
-    mu_row = StratumReport(
-        label=StratumLabel(LABEL_MU_ORDINARY, m, cls),
-        dim=dim_sh,
-        nonempty=True,
-        certificate=None,
-        polygon=_stratum_polygon(datum, cls, frozenset()),
-    )
-    if cls in (1, m - 1):
-        found = {c: h1_radical_params(OrbitContext(datum, p, m - c), budget) for c in reps}
-        if m == 7 and reps == [2, 3]:
-            (rad2, q2), (rad3, q3) = found[2], found[3]
-            g = rad2.gcd(rad3) if q2 is None or q3 is None else fabc_gcd(q2, q3)
-            # g and the radicals are monic, so each quotient is too; no
-            # division when g is 1 or the radical itself
-            one = FpUniPoly.one(g.field)
-            w2_cof, w3_cof = (
-                rad if g.degree == 0 else one if rad == g else rad // g for rad in (rad3, rad2)
-            )
-            rows = [
-                (LABEL_W2, dim_sh - 1, w2_cof, frozenset({3})),
-                (LABEL_W3, dim_sh - 1, w3_cof, frozenset({2})),
-                (LABEL_BASIC, dim_sh - 2, g, frozenset({2, 3})),
-            ]
-        elif len(reps) == 1:
-            rows = [(LABEL_BASIC, dim_sh - 1, found[reps[0]][0], frozenset({reps[0]}))]
-        else:
-            raise UnsupportedFamily(
-                f"no stratum labels for {len(reps)} balanced pairs (m={m})"
-            )
-        strata = [mu_row]
-        for kind, dim, cert_poly, vanishing in rows:
-            nonempty = cert_poly.degree is not None and cert_poly.degree >= 1
-            strata.append(
-                StratumReport(
-                    label=StratumLabel(kind, m, cls),
-                    dim=dim,
-                    nonempty=nonempty,
-                    certificate=cert_poly.to_text() if nonempty else None,
-                    polygon=_stratum_polygon(datum, cls, vanishing),
-                )
-            )
-    else:
-        anchor = min(c for c in range(1, m) if sig[c] == 1)
-        rad = h1_radical(OrbitContext(datum, p, m - anchor), budget)
-        nonempty = rad.degree is not None and rad.degree >= 1
-        strata = [
-            mu_row,
+    cls = p % datum.m
+    dim_sh, rows = _census_rows(datum, p, budget)
+    strata = []
+    for kind, dim, cert, vanishing in [(LABEL_MU_ORDINARY, dim_sh, None, frozenset()), *rows]:
+        nonempty = cert is None or (cert.degree or 0) >= 1
+        strata.append(
             StratumReport(
-                label=StratumLabel(LABEL_NU, m, cls),
-                dim=dim_sh - 1,
+                label=StratumLabel(kind, datum.m, cls),
+                dim=dim,
                 nonempty=nonempty,
-                certificate=rad.to_text() if nonempty else None,
-                polygon=_stratum_polygon(datum, cls, frozenset(c for c, _ in pairs)),
-            ),
-        ]
+                certificate=None if cert is None or not nonempty else cert.to_text(),
+                polygon=_stratum_polygon(datum, cls, vanishing),
+            )
+        )
     return CensusReport(datum=datum, p=p, p_class=cls, dim_sh=dim_sh, strata=tuple(strata))
 
 
@@ -505,18 +505,23 @@ def census_records(
     """CensusReport.to_json_record() of each prime, in the order given.
 
     Records found in the cache are replayed as stored, without a new
-    census, so allow_small and budget bear on the misses only.  The
-    misses are computed serially, or in a process pool of
-    min(workers, misses, CPUs) workers, and each is stored in the cache
-    as a file of its own, so the cache's files do not depend on the
-    worker count."""
+    census, so allow_small and budget bear on the misses only.  A stored
+    record whose p is not the prime asked for, or whose class is not
+    p mod m (a record file copied or renamed to another prime's key), is
+    a miss, and its file is rewritten.  The misses are computed serially,
+    or in a process pool of min(workers, misses, CPUs) workers, and each
+    is stored in the cache as a file of its own, so the cache's files do
+    not depend on the worker count."""
     if workers < 1:
         raise ParamOutOfRange(f"workers must be >= 1: got {workers}")
     if cache is None:
         cache = RecordCache(None)
     keys = [RecordCache.key(datum, p) for p in primes]
     records = [cache.get(key) for key in keys]
-    misses = [i for i, rec in enumerate(records) if rec is None]
+    misses = [
+        i for i, (p, rec) in enumerate(zip(primes, records))
+        if rec is None or (rec["p"], rec["class"]) != (p, p % datum.m)
+    ]
     missed_primes = [primes[i] for i in misses]
     task = functools.partial(_census_task, datum, allow_small=allow_small, budget=budget)
     workers = min(workers, len(misses), os.cpu_count() or 1)
@@ -646,10 +651,7 @@ def supersingular_minus_one(datum: MonodromyDatum, p: int) -> bool:
     i, j = repeated
     outer = [k for k in range(4) if k not in (i, j)]
     order = (outer[0], i, j, outer[1])
-    sig = signature(datum)
-    for c in range(1, (m + 1) // 2):
-        if sig[c] != 1 or sig[m - c] != 1:
-            continue
+    for c in _balanced_reps(signature(datum), m):
         bs = branch_exponents(datum, p, c, order=order)
         closed = _phi_fabc_params(p, bs, sum(bs) - p + 1)
         if closed is not None and fabc(closed[0]).evaluate(p - 1) != 0:

@@ -407,6 +407,22 @@ def test_damaged_cache_record_is_a_miss_and_is_repaired(tmp_path, capsys, damage
     assert run(capsys, *argv, "--cache-dir", str(cache_dir)) == fresh
 
 
+@pytest.mark.parametrize("stored", [
+    lambda rec29: rec29,                        # 29's file copied over 13's
+    lambda rec29: dict(rec29, p=13),            # 13 with 29's class
+], ids=["other-prime", "other-class"])
+def test_cache_record_of_another_prime_is_a_miss_and_is_rewritten(tmp_path, capsys, stored):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    path = _record_path(cache_dir, 13)
+    rec29 = census(parse_datum(M7), 29).to_json_record()
+    path.write_text(canonical_json(stored(rec29)))
+    argv = ("census", M7, "-p", "13", "-o", "json", "--cache-dir", str(cache_dir))
+    assert run(capsys, *argv) == (0, CENSUS_13_LINE + "\n", "")
+    assert path.read_text() == CENSUS_13_LINE
+    assert run(capsys, *argv) == (0, CENSUS_13_LINE + "\n", "")
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CYCLOCOVER_CACHE_DIR", str(tmp_path / "envcache"))
     code, out, _ = run(capsys, "census", M7, "-p", "13", "-o", "json")

@@ -92,6 +92,25 @@ def test_strata_stays_univariate():
     assert _names(tree) & {"phi_entry", "psi_entry", "specialize_infty", "FpMultiPoly"} == set()
 
 
+def test_strata_reads_chains_only_through_radicals():
+    # census and classify_m7 read every chain through hassewitt's radicals
+    # (_census_rows); strata builds no chain and no composite of its own
+    tree = ast.parse((SRC / "strata.py").read_text())
+    assert _names(tree) & {"h1", "build_chain", "specialized_chain", "_heads"} == set()
+
+
+def test_one_stratum_report_construction_site():
+    # every census row, MuOrdinary included, becomes a StratumReport in
+    # census's one report loop
+    tree = ast.parse((SRC / "strata.py").read_text())
+    sites = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "StratumReport"
+    ]
+    assert len(sites) == 1
+
+
 def _reached(tree, roots) -> set:
     """The module-level functions and classes of a module that its own
     call graph reaches from `roots`: every name a reached definition uses

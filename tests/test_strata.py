@@ -19,7 +19,14 @@ from cyclocover.errors import (
     WrongCongruenceClass,
 )
 from cyclocover.fabc import fabc_gcd
-from cyclocover.ff import ExtField, FpUniPoly, PrimeField, is_prime_u64
+from cyclocover.ff import (
+    DEFAULT_TERM_BUDGET,
+    ExtField,
+    FpUniPoly,
+    PrimeField,
+    is_prime_u64,
+    least_factor,
+)
 from cyclocover.hassewitt import (
     OrbitContext,
     h1,
@@ -274,6 +281,27 @@ def test_classify_constant_on_galois_conjugates():
     f29 = PrimeField(29)
     beta = ExtField(f29, FpUniPoly(f29, [16, 9, 1])).generator()
     assert classify_m7(29, beta).label == classify_m7(29, _ext_pow(beta, 29)).label
+
+
+def test_classify_at_every_certificate_root():
+    # a root of each nonempty census certificate classifies into that
+    # row's stratum: the prime-field root of a linear least factor, else
+    # the generator of the extension the least factor defines
+    for p in (29, 41, 43, 71, 113, 127):
+        field = PrimeField(p)
+        report = census(M7_FAMILY, p)
+        _, rows = strata._census_rows(M7_FAMILY, p, DEFAULT_TERM_BUDGET)
+        assert [row.label.kind for row in report.strata[1:]] == [kind for kind, *_ in rows]
+        for row, (_, _, cert, _) in zip(report.strata[1:], rows):
+            if not row.nonempty:
+                continue
+            factor = least_factor(cert, seed=p)
+            if factor.degree == 1:
+                alpha = -factor.coeffs[0] % p
+            else:
+                alpha = ExtField(field, factor).generator()
+            got = classify_m7(p, alpha)
+            assert (got.label, got.polygon) == (row.label, row.polygon), (p, row.label)
 
 
 def test_classify_rejections():
