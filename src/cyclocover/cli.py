@@ -11,7 +11,7 @@ CYCLOCOVER_WORKERS environment variables, explicit flags.  A seed is
 required only by the command that splits polynomials at random
 (witness), and its output does not depend on it; everything else is
 deterministic without one.  Identical invocations print byte-identical
-JSON.
+JSON.  An empty cache_dir, from any layer, means no cache.
 
 Census records can be cached under cache_dir, one JSON file per record
 named by its key.  The key is a content hash of (command, datum, p,
@@ -19,6 +19,16 @@ version), so a hit replays exactly the record a fresh run would produce.
 census and survey both get their records from strata.census_records, so
 they share the cache, and a survey writes only the primes it had to
 compute.
+
+Each subcommand handler computes its result and writes nothing.  It
+returns (records, human), two zero-argument callables: records() gives
+the command's JSON objects, human() its human lines.  main is the only
+code that writes stdout: -o json prints each record as one canonical
+JSON line (one per prime for survey), -o csv prints census_csv of the
+records (census and survey only), and -o human prints the lines.  Both
+are lazy because a run uses only one of them: -o json never builds the
+text of a large h1, and -o human never copies its coefficients into a
+record.
 
 Exit codes: 0 success, 2 hypothesis not met, 3 budget exceeded,
 4 invalid input.  Errors print one line to stderr in the form
@@ -145,19 +155,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    # an empty directory, from any layer, means no cache, as an empty
+    # CYCLOCOVER_CACHE_DIR always did
+    values["cache_dir"] = values["cache_dir"] or None
     return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-
-def _emit(line: str) -> None:
-    sys.stdout.write(line + "\n")
-
-
-def _emit_json(obj) -> None:
-    _emit(canonical_json(obj))
-
+# human text of a multivariate polynomial
 
 def _multi_text(f: FpMultiPoly) -> str:
     if f.is_zero:
@@ -174,235 +179,196 @@ def _multi_text(f: FpMultiPoly) -> str:
     return " + ".join(parts)
 
 
-def _census_human_rows(rec: dict) -> list:
-    rows = [f"p={rec['p']} class={rec['class']}"]
-    for s in rec["strata"]:
-        state = "nonempty" if s["nonempty"] else "empty"
-        line = f"  {s['label']:<11} dim {s['dim']}  {state}"
-        if s["certificate"] is not None:
-            line += f"  cert {s['certificate']}"
-        rows.append(line)
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (records, human), see the module docstring
 
-def _cmd_datum(args, cfg: RunConfig) -> None:
+def _cmd_datum(args, cfg: RunConfig):
     d = parse_datum(args.datum)
     op = args.op
     if op == "validate":
-        if cfg.output == "json":
-            _emit_json({"a": list(d.a), "genus": genus(d), "m": d.m, "r": d.r,
-                        "valid": True})
-        else:
-            _emit(f"ok: {d.to_text()} (genus {genus(d)})")
-    elif op == "canon":
+        g = genus(d)
+        return (lambda: [{"a": list(d.a), "genus": g, "m": d.m, "r": d.r, "valid": True}],
+                lambda: [f"ok: {d.to_text()} (genus {g})"])
+    if op == "canon":
         c = canonicalize(d)
-        if cfg.output == "json":
-            _emit_json(c.to_json())
-        else:
-            _emit(c.to_text())
-    elif op == "signature":
+        return lambda: [c.to_json()], lambda: [c.to_text()]
+    if op == "signature":
         shown = list(signature(d)[1:])
-        if cfg.output == "json":
-            _emit_json({"signature": shown})
-        else:
-            _emit(",".join(str(x) for x in shown))
-    elif op == "genus":
-        if cfg.output == "json":
-            _emit_json({"genus": genus(d)})
-        else:
-            _emit(str(genus(d)))
-    else:  # orbits
-        if args.p is None:
-            raise InvalidInput("datum orbits needs a prime: pass -p")
-        orbits = frobenius_orbits(d.m, args.p, signature(d))
-        if cfg.output == "json":
-            _emit_json({"orbits": [
-                {"g": o.gO, "length": o.l, "members": list(o.members)}
-                for o in orbits
-            ]})
-        else:
-            for o in orbits:
-                _emit(f"({' '.join(str(x) for x in o.members)})  l={o.l}  g={o.gO}")
+        return lambda: [{"signature": shown}], lambda: [",".join(map(str, shown))]
+    if op == "genus":
+        g = genus(d)
+        return lambda: [{"genus": g}], lambda: [str(g)]
+    # orbits
+    if args.p is None:
+        raise InvalidInput("datum orbits needs a prime: pass -p")
+    orbits = frobenius_orbits(d.m, args.p, signature(d))
+    return (
+        lambda: [{"orbits": [{"g": o.gO, "length": o.l, "members": list(o.members)}
+                             for o in orbits]}],
+        lambda: [f"({' '.join(map(str, o.members))})  l={o.l}  g={o.gO}" for o in orbits],
+    )
 
 
-def _cmd_mu_ord(args, cfg: RunConfig) -> None:
+def _cmd_mu_ord(args, cfg: RunConfig):
     d = parse_datum(args.datum)
     poly = mu_ordinary_family(d, args.p)
-    if cfg.output == "json":
-        _emit_json({"class": args.p % d.m, "polygon": poly.to_json()})
-    else:
-        _emit(poly.to_text())
+    return (lambda: [{"class": args.p % d.m, "polygon": poly.to_json()}],
+            lambda: [poly.to_text()])
 
 
-def _cmd_hw(args, cfg: RunConfig) -> None:
+def _cmd_hw(args, cfg: RunConfig):
     d = parse_datum(args.datum)
-    p = args.p
     kind = args.kind
     if kind in ("phi", "psi"):
         for name in ("tau", "jp", "j"):
             if getattr(args, name) is None:
                 raise InvalidInput(f"hw {kind} needs --tau, --jp and --j")
         build = phi_entry if kind == "phi" else psi_entry
-        entry = build(d, p, args.tau, args.jp, args.j, cfg.term_budget)
+        entry = build(d, args.p, args.tau, args.jp, args.j, cfg.term_budget)
         if args.specialize:
             uni = specialize_infty(entry)
-            if cfg.output == "json":
-                _emit_json({"entry": uni.to_json(), "specialized": True})
-            else:
-                _emit(uni.to_text())
-        else:
-            if cfg.output == "json":
-                _emit_json({"entry": entry.to_json(), "specialized": False})
-            else:
-                _emit(_multi_text(entry))
-    else:  # h1 | h0
-        if args.b0 is None:
-            raise InvalidInput(f"hw {kind} needs a base character: pass --b0")
-        ctx = OrbitContext(d, p, args.b0)
-        if kind == "h1":
-            poly = h1(ctx, cfg.term_budget)
-            if cfg.output == "json":
-                _emit_json({"chars": list(ctx.chars), "h1": poly.to_json(),
-                            "i0": ctx.i0})
-            else:
-                _emit(poly.to_text())
-        else:
-            poly = h0(ctx, cfg.term_budget)
-            if cfg.output == "json":
-                _emit_json({"chars": list(ctx.chars), "h0": poly.to_json()})
-            else:
-                _emit(_multi_text(poly))
+            return (lambda: [{"entry": uni.to_json(), "specialized": True}],
+                    lambda: [uni.to_text()])
+        return (lambda: [{"entry": entry.to_json(), "specialized": False}],
+                lambda: [_multi_text(entry)])
+    # h1 | h0
+    if args.b0 is None:
+        raise InvalidInput(f"hw {kind} needs a base character: pass --b0")
+    ctx = OrbitContext(d, args.p, args.b0)
+    if kind == "h1":
+        poly = h1(ctx, cfg.term_budget)
+        return (lambda: [{"chars": list(ctx.chars), "h1": poly.to_json(), "i0": ctx.i0}],
+                lambda: [poly.to_text()])
+    poly = h0(ctx, cfg.term_budget)
+    return (lambda: [{"chars": list(ctx.chars), "h0": poly.to_json()}],
+            lambda: [_multi_text(poly)])
 
 
-def _cmd_witness(args, cfg: RunConfig) -> None:
+def _cmd_witness(args, cfg: RunConfig):
     if cfg.seed is None:
         raise InvalidInput("witness factors polynomials; --seed is required")
     d = parse_datum(args.datum)
     ctx = OrbitContext(d, args.p, args.b0)
     w = nonordinary_witness(ctx, cfg.dmax, cfg.seed, cfg.term_budget)
     if w is None:
-        if cfg.output == "json":
-            _emit_json({"alpha": None, "branch_order": None, "certificate": None,
-                        "count": 0, "degree": 0, "found": False})
-        else:
-            _emit("no roots outside {0, 1}: every smooth member here is ordinary")
-        return
-    alpha_json: object = None
-    if isinstance(w.alpha, ExtFieldElem):
-        alpha_json = w.alpha.to_json()
-    elif w.alpha is not None:
-        alpha_json = int(w.alpha)
-    if cfg.output == "json":
-        _emit_json({
-            "alpha": alpha_json,
+        return (
+            lambda: [{"alpha": None, "branch_order": None, "certificate": None,
+                      "count": 0, "degree": 0, "found": False}],
+            lambda: ["no roots outside {0, 1}: every smooth member here is ordinary"],
+        )
+
+    def records():
+        alpha = w.alpha
+        if isinstance(alpha, ExtFieldElem):
+            alpha = alpha.to_json()
+        elif alpha is not None:
+            alpha = int(alpha)
+        return [{
+            "alpha": alpha,
             "branch_order": list(w.branch_order),
             "certificate": w.certificate.to_json(),
             "count": w.count,
             "degree": w.degree,
             "found": w.alpha is not None,
-        })
-        return
-    order = "(" + ", ".join(str(x) for x in w.branch_order) + ")"
-    if w.alpha is None:
-        _emit(f"no witness of degree <= {cfg.dmax}; smallest certificate has "
-              f"degree {w.degree}: {w.certificate.to_text()}")
-    elif w.degree == 1:
-        _emit(f"witness alpha = {w.alpha} in F_{args.p}; certificate "
-              f"{w.certificate.to_text()}; branch order {order}")
-    else:
-        _emit(f"witness of degree {w.degree}: generator of "
-              f"F_{args.p}[t]/({w.certificate.to_text()}); branch order {order}")
-    _emit(f"{w.count} distinct non-ordinary parameters outside {{0, 1}}")
+        }]
+
+    def human():
+        order = "(" + ", ".join(str(x) for x in w.branch_order) + ")"
+        if w.alpha is None:
+            yield (f"no witness of degree <= {cfg.dmax}; smallest certificate has "
+                   f"degree {w.degree}: {w.certificate.to_text()}")
+        elif w.degree == 1:
+            yield (f"witness alpha = {w.alpha} in F_{args.p}; certificate "
+                   f"{w.certificate.to_text()}; branch order {order}")
+        else:
+            yield (f"witness of degree {w.degree}: generator of "
+                   f"F_{args.p}[t]/({w.certificate.to_text()}); branch order {order}")
+        yield f"{w.count} distinct non-ordinary parameters outside {{0, 1}}"
+
+    return records, human
 
 
-def _cmd_census(args, cfg: RunConfig) -> None:
+def _cmd_census(args, cfg: RunConfig):
     d = parse_datum(args.datum)
     # the library refuses p <= 3m by default because the nonemptiness
     # certificates are only guaranteed above that bound; interactive use
     # wants the small primes anyway, so the command line opts in
-    (record,) = census_records(d, [args.p], allow_small=True, budget=cfg.term_budget,
-                               cache=RecordCache(cfg.cache_dir))
-    if cfg.output == "json":
-        _emit_json(record)
-    elif cfg.output == "csv":
-        sys.stdout.write(census_csv([record]))
-    else:
-        _emit(f"datum {d.to_text()}")
-        for row in _census_human_rows(record):
-            _emit(row)
+    (rec,) = census_records(d, [args.p], allow_small=True, budget=cfg.term_budget,
+                            cache=RecordCache(cfg.cache_dir))
+
+    def human():
+        yield f"datum {d.to_text()}"
+        yield f"p={rec['p']} class={rec['class']}"
+        for s in rec["strata"]:
+            state = "nonempty" if s["nonempty"] else "empty"
+            cert = "" if s["certificate"] is None else f"  cert {s['certificate']}"
+            yield f"  {s['label']:<11} dim {s['dim']}  {state}{cert}"
+
+    return lambda: [rec], human
 
 
-def _cmd_survey(args, cfg: RunConfig) -> None:
+def _cmd_survey(args, cfg: RunConfig):
     d = parse_datum(args.datum)
     sv = prime_survey(d, args.congruence, args.count, workers=cfg.workers,
                       allow_small=True, budget=cfg.term_budget,
                       cache=RecordCache(cfg.cache_dir))
-    if cfg.output == "json":
-        sys.stdout.write(sv.to_json_lines())
-        return
-    if cfg.output == "csv":
-        sys.stdout.write(sv.to_csv())
-        return
-    for rec in sv.records:
-        labels = " ".join(
-            f"{s['label']}={'+' if s['nonempty'] else '-'}" for s in rec["strata"]
-        )
-        _emit(f"p={rec['p']:<6} {labels}")
-    if sv.records:
-        bottom = sv.records[0]["strata"][-1]["label"]
-        _emit(f"{sv.nonempty_count(bottom)}/{len(sv.records)} {bottom.lower()}-nonempty")
+
+    def human():
+        for rec in sv.records:
+            labels = " ".join(
+                f"{s['label']}={'+' if s['nonempty'] else '-'}" for s in rec["strata"]
+            )
+            yield f"p={rec['p']:<6} {labels}"
+        if sv.records:
+            bottom = sv.records[0]["strata"][-1]["label"]
+            yield f"{sv.nonempty_count(bottom)}/{len(sv.records)} {bottom.lower()}-nonempty"
+
+    return lambda: sv.records, human
 
 
-def _cmd_clutch(args, cfg: RunConfig) -> None:
+def _cmd_clutch(args, cfg: RunConfig):
     d1 = parse_datum(args.datum1)
     d2 = parse_datum(args.datum2)
     joined, eps = clutch(d1, d2)
-    payload = {"datum": joined.to_json(), "epsilon": eps}
-    lines = [f"clutched datum {joined.to_text()}  eps={eps}"]
     if args.p is not None:
         whole = mu_ordinary_family(joined, args.p)
         composed = (mu_ordinary_family(d1, args.p) + mu_ordinary_family(d2, args.p)
                     + ord_polygon(eps))
-        payload["polygon"] = whole.to_json()
-        payload["composed"] = composed.to_json()
-        payload["agrees"] = composed == whole
-        lines.append(f"mu-ordinary polygon   {whole.to_text()}")
-        lines.append(f"composed from pieces  {composed.to_text()}")
-        lines.append(f"agreement: {str(composed == whole).lower()}")
-    if cfg.output == "json":
-        _emit_json(payload)
-    else:
-        for line in lines:
-            _emit(line)
+
+    def records():
+        record = {"datum": joined.to_json(), "epsilon": eps}
+        if args.p is not None:
+            record.update(polygon=whole.to_json(), composed=composed.to_json(),
+                          agrees=composed == whole)
+        return [record]
+
+    def human():
+        yield f"clutched datum {joined.to_text()}  eps={eps}"
+        if args.p is not None:
+            yield f"mu-ordinary polygon   {whole.to_text()}"
+            yield f"composed from pieces  {composed.to_text()}"
+            yield f"agreement: {str(composed == whole).lower()}"
+
+    return records, human
 
 
-def _cmd_fabc(args, cfg: RunConfig) -> None:
+def _cmd_fabc(args, cfg: RunConfig):
     params = FabcParams(args.a, args.b, args.c, args.p)
-    if args.mode == "strip":
-        s = fabc_strip(params)
-        reduced_poly = fabc(s.reduced)
-        if cfg.output == "json":
-            _emit_json({
-                "reduced": {"a": s.reduced.a, "b": s.reduced.b,
-                            "c": s.reduced.c, "p": s.reduced.p},
-                "reduced_poly": reduced_poly.to_json(),
-                "sign": s.sign,
-                "t1_power": s.t1_power,
-                "t_power": s.t_power,
-            })
-        else:
-            _emit(f"sign={s.sign} t^{s.t_power} (t-1)^{s.t1_power}")
-            _emit(f"reduced f({s.reduced.a},{s.reduced.b};{s.reduced.c}) = "
-                  f"{reduced_poly.to_text()}")
-    else:
+    if args.mode != "strip":
         poly = fabc(params)
-        if cfg.output == "json":
-            _emit_json({"poly": poly.to_json()})
-        else:
-            _emit(poly.to_text())
+        return lambda: [{"poly": poly.to_json()}], lambda: [poly.to_text()]
+    s = fabc_strip(params)
+    r = s.reduced
+    reduced_poly = fabc(r)
+    return (
+        lambda: [{"reduced": {"a": r.a, "b": r.b, "c": r.c, "p": r.p},
+                  "reduced_poly": reduced_poly.to_json(),
+                  "sign": s.sign,
+                  "t1_power": s.t1_power,
+                  "t_power": s.t_power}],
+        lambda: [f"sign={s.sign} t^{s.t_power} (t-1)^{s.t1_power}",
+                 f"reduced f({r.a},{r.b};{r.c}) = {reduced_poly.to_text()}"],
+    )
 
 
 _HANDLERS = {
@@ -537,7 +503,17 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if cfg.output == "csv" and args.command not in _CSV_COMMANDS:
             raise InvalidInput("csv output is only available for census and survey")
-        _HANDLERS[args.command](args, cfg)
+        records, human = _HANDLERS[args.command](args, cfg)
+        # one write per record or line: a census certificate can run to
+        # 100 MB, and joining the lines would hold the output twice
+        if cfg.output == "json":
+            for record in records():
+                sys.stdout.write(canonical_json(record) + "\n")
+        elif cfg.output == "csv":
+            sys.stdout.write(census_csv(records()))
+        else:
+            for line in human():
+                sys.stdout.write(line + "\n")
         return 0
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code is None else int(exc.code)

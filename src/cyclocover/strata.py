@@ -580,15 +580,12 @@ class SurveyResult:
     def nonempty_count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 
-    def to_json_lines(self) -> str:
-        return "".join(canonical_json(rec) + "\n" for rec in self.records)
-
-    def to_csv(self) -> str:
-        return census_csv(self.records)
-
 
 def survey_primes(m: int, congruence: int, count: int) -> list:
-    """First `count` primes congruent to `congruence` mod m."""
+    """First `count` odd primes congruent to `congruence` mod m.
+
+    The prime 2 is left out: no census runs at it, so a class that
+    contains it starts at its first odd prime."""
     if count < 0:
         raise ParamOutOfRange(f"count must be >= 0: got {count}")
     if not 1 <= congruence < m or math.gcd(congruence, m) != 1:
@@ -598,7 +595,7 @@ def survey_primes(m: int, congruence: int, count: int) -> list:
     primes = []
     n = congruence
     while len(primes) < count:
-        if n >= 2 and is_prime_u64(n):
+        if n >= 3 and is_prime_u64(n):
             primes.append(n)
         n += m
     return primes

@@ -341,6 +341,18 @@ def test_survey_count_zero(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("datum,primes", [
+    ("5:4:1,1,1,2", (7, 17, 37)),
+    (M7, (23, 37, 79)),
+])
+def test_survey_of_the_class_of_two_starts_at_its_first_odd_prime(capsys, datum, primes):
+    # the class used to start at 2, where no census runs, and refused whole
+    code, out, err = run(capsys, "survey", datum, "--class", "2", "--count", "3", "-o", "json")
+    assert (code, err) == (0, "")
+    d = parse_datum(datum)
+    assert out.splitlines() == [census(d, p, allow_small=True).to_json_line() for p in primes]
+
+
 def test_survey_csv(capsys):
     code, out, _ = run(capsys, "survey", M7, "--class", "6", "--count", "2",
                        "-o", "csv")
@@ -490,13 +502,14 @@ def test_unwritable_cache_is_invalid_input(tmp_path, capsys, argv, unwritable):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("congruence", [1, 6])
 def test_survey_stdout_is_the_library_survey(tmp_path, capsys, congruence, workers, cached):
-    # the command line only prints prime_survey's records: its json and
-    # csv output is the library's to_json_lines and to_csv, byte for byte
+    # the command line only prints prime_survey's records: one canonical
+    # JSON line per record, or census_csv of the records, byte for byte
     cache_args = ("--cache-dir", str(tmp_path / "cli")) if cached else ()
     lib_cache = RecordCache(str(tmp_path / "lib")) if cached else None
     sv = prime_survey(parse_datum(M7), congruence, 4, workers=workers,
                       allow_small=True, cache=lib_cache)
-    for fmt, text in (("json", sv.to_json_lines()), ("csv", sv.to_csv())):
+    json_lines = "".join(canonical_json(rec) + "\n" for rec in sv.records)
+    for fmt, text in (("json", json_lines), ("csv", strata.census_csv(sv.records))):
         code, out, _ = run(capsys, "survey", M7, "--class", str(congruence),
                            "--count", "4", "-o", fmt, "--workers", str(workers),
                            *cache_args)
@@ -562,6 +575,29 @@ def test_config_precedence(tmp_path, monkeypatch):
 
     cfg = build_config(_ns(config=str(path), workers=2, cache_dir="/from/flag"))
     assert cfg.workers == 2 and cfg.cache_dir == "/from/flag"
+
+
+@pytest.mark.parametrize("config_line,flag", [
+    (None, ""),
+    ("cache_dir=", None),
+    ("cache_dir=c", ""),
+])
+def test_empty_cache_dir_means_no_cache(tmp_path, capsys, monkeypatch, config_line, flag):
+    # an empty cache_dir used to compute the census and then fail to
+    # write it in '', exiting 4; now it means no cache at every layer,
+    # as an empty CYCLOCOVER_CACHE_DIR always did
+    monkeypatch.chdir(tmp_path)
+    argv = ["census", M7, "-p", "13", "-o", "json"]
+    config = None
+    if config_line is not None:
+        config = tmp_path / "run.cfg"
+        config.write_text(config_line + "\n")
+        argv += ["--config", str(config)]
+    if flag is not None:
+        argv += ["--cache-dir", flag]
+    assert build_config(_ns(config=config and str(config), cache_dir=flag)).cache_dir is None
+    assert run(capsys, *argv) == (0, CENSUS_13_LINE + "\n", "")
+    assert [f.name for f in tmp_path.iterdir()] == ([] if config is None else ["run.cfg"])
 
 
 def test_config_defaults():
@@ -1266,3 +1302,81 @@ def test_fuzzed_command_lines_keep_the_error_contract(capsys):
         if code:
             assert re.fullmatch(r"error\[[a-z]+(-[a-z]+)*\]: [^\n]*\n", err), (argv, err)
     assert set(codes) == {0, 2, 3, 4}, codes
+
+
+# ---------------------------------------------------------------------------
+# the whole command line under every output: recorded while each handler
+# still chose between human, JSON and CSV and wrote stdout itself
+
+_SWEEP_BASES = [
+    *(f"datum {op} {M7}" for op in ("validate", "canon", "signature", "genus")),
+    f"datum orbits {M7} -p 13",
+    f"datum orbits {M7}",
+    "datum genus 7:4:7,1,1,5",
+    f"mu-ord {M7} -p 29",
+    f"mu-ord {M7} -p 15",
+    f"hw phi {M7} -p 13 --tau 3 --jp 1 --j 1",
+    f"hw phi {M7} -p 13 --tau 3 --jp 1 --j 1 --specialize",
+    f"hw psi {M7} -p 13 --tau 6 --jp 1 --j 1",
+    f"hw psi {M7} -p 13 --tau 6 --jp 1 --j 1 --specialize",
+    f"hw psi {M7} -p 13 --tau 2 --jp 1 --j 1",
+    f"hw phi {M7} -p 13 --jp 1 --j 1",
+    f"hw h1 {M7} -p 13 --b0 4",
+    f"hw h1 {M7} -p 29 --b0 5",
+    f"hw h0 {M7} -p 13 --b0 4",
+    f"hw h0 {M7} -p 113 --b0 4 --term-budget 1",
+    f"hw h1 {M7} -p 13",
+    f"witness {M7} -p 29 --b0 5 --dmax 2 --seed 7",
+    f"witness {M7} -p 29 --b0 5 --dmax 1 --seed 7",
+    f"witness {M7} -p 29 --b0 5",
+    "witness 7:4:1,1,1,4 -p 17 --b0 3 --seed 7",
+    "witness 7:4:1,1,1,4 -p 19 --b0 3 --seed 7",
+    *(f"census {M7} -p {p}" for p in (13, 29, 31, 43, 59, 113, 179)),
+    *(f"census 5:4:1,1,1,2 -p {p}" for p in (7, 11, 13, 19)),
+    "census 11:4:1,2,3,5 -p 23",
+    f"census {M7} -p 7",
+    f"survey {M7} --class 1 --count 3",
+    f"survey {M7} --class 6 --count 3",
+    f"survey {M7} --class 6 --count 3 --workers 2",
+    f"survey {M7} --class 3 --count 2",
+    f"survey {M7} --class 6 --count 0",
+    f"survey {M7} --class 7 --count 2",
+    f"clutch {M7} 7:3:5,1,1 -p 13",
+    f"clutch {M7} 7:3:5,1,1",
+    "clutch 8:3:1,3,4 8:3:4,1,3 -p 3",
+    f"clutch {M7} 7:3:1,2,4",
+    "fabc --a 5 --b 7 --c 4 -p 13",
+    "fabc strip --a 5 --b 7 --c 9 -p 13",
+    "fabc --a 5 --b 7 --c 40 -p 13",
+]
+
+_SWEEP_PARSE_ERRORS = [
+    "",
+    "frobnicate",
+    f"census {M7}",
+    f"census {M7} -p 13 -o xml",
+    f"census {M7} -p x",
+    f"datum frob {M7}",
+    f"survey {M7} --class 6",
+    "fabc --a 5 --b 7 -p 13",
+]
+
+
+def _sweep_argvs():
+    for base in _SWEEP_BASES:
+        yield base
+        for fmt in ("human", "json", "csv"):
+            yield f"{base} -o {fmt}"
+    yield from _SWEEP_PARSE_ERRORS
+
+
+def test_every_subcommand_under_every_output_is_byte_identical_to_the_recorded_digest(capsys):
+    # sha256 of "<argv>\n<exit code>\n<stdout>\0<stderr>" over _sweep_argvs
+    digest = hashlib.sha256()
+    codes = collections.Counter()
+    for argv in _sweep_argvs():
+        code, out, err = run(capsys, *argv.split())
+        digest.update(f"{argv}\n{code}\n{out}\0{err}".encode())
+        codes[code] += 1
+    assert dict(codes) == {0: 130, 2: 3, 3: 3, 4: 76}
+    assert digest.hexdigest() == "f192de901280458b05437fa917960869991116d2e48a1356a2eefac28216285f"

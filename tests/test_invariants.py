@@ -167,3 +167,20 @@ def test_fabc_builds_from_term_ratios():
     tree = ast.parse((SRC / "hassewitt.py").read_text())
     (radical,) = [node for node in tree.body if getattr(node, "name", None) == "h1_radical_params"]
     assert "monic" not in _names(radical)
+
+
+def test_only_main_writes_stdout_or_reads_the_output_option():
+    # every subcommand handler returns (records, human) and prints
+    # nothing; main alone picks the output and writes it
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    handlers = [name for name in defs if name.startswith("_cmd_")]
+    assert len(handlers) == 8
+    for name in handlers:
+        assert _names(defs[name]) & {"stdout", "print", "_emit", "_emit_json", "output"} == set(), name
+    readers = {
+        name for name, node in defs.items()
+        if _names(node) & {"stdout", "print", "output"}
+    }
+    assert readers == {"main"}
+    assert {"_emit", "_emit_json"} & defs.keys() == set()

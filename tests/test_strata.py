@@ -472,6 +472,10 @@ def test_survey_prime_enumeration():
     assert survey_primes(7, 6, 4) == [13, 41, 83, 97]
     assert survey_primes(5, 4, 3) == [19, 29, 59]
     assert survey_primes(7, 1, 0) == []
+    # odd primes only: the class of 2 starts at its next prime
+    assert survey_primes(5, 2, 3) == [7, 17, 37]
+    assert survey_primes(7, 2, 2) == [23, 37]
+    assert survey_primes(3, 2, 3) == [5, 11, 17]
     with pytest.raises(ParamOutOfRange):
         survey_primes(7, 0, 3)
     with pytest.raises(ParamOutOfRange):
@@ -484,7 +488,6 @@ def test_survey_count_zero():
     sv = prime_survey(M7_FAMILY, 1, 0)
     assert sv.records == ()
     assert sv.counts == {}
-    assert sv.to_json_lines() == ""
 
 
 def test_survey_small_class1():
@@ -493,21 +496,18 @@ def test_survey_small_class1():
     assert sv.counts == {"MuOrdinary": 4, "W2": 4, "W3": 4, "Basic": 1}
     assert sv.nonempty_count("Basic") == 1
     assert sv.nonempty_count("Nu") == 0
-    lines = sv.to_json_lines().splitlines()
-    assert len(lines) == 4
-    assert json.loads(lines[3])["p"] == 113
 
 
 def test_survey_worker_merge_is_deterministic():
     serial = prime_survey(M7_FAMILY, 1, 4, workers=1)
     parallel = prime_survey(M7_FAMILY, 1, 4, workers=2)
-    assert serial.to_json_lines() == parallel.to_json_lines()
+    assert serial.records == parallel.records
     assert serial.counts == parallel.counts
 
 
 def test_survey_csv_export():
     sv = prime_survey(M7_FAMILY, 1, 2)
-    rows = sv.to_csv().splitlines()
+    rows = strata.census_csv(sv.records).splitlines()
     assert rows[0] == "p,class,label,dim,nonempty,certificate"
     assert len(rows) == 1 + 2 * 4
     assert rows[1].startswith("29,1,MuOrdinary,2,true,")
