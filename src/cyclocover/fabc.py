@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import HypothesisNotMet, ParamOutOfRange
 from .ff import (
-    FpMultiPoly,
     FpUniPoly,
     PrimeField,
     is_prime_u64,
@@ -290,24 +289,6 @@ def separable_away_from_01(f: FpUniPoly) -> bool:
     return f.gcd(f.derivative()).degree == 0
 
 
-def proportionality_obstruction(p1: FabcParams, p2: FabcParams) -> bool:
-    """Cheap necessary conditions for f(p1) to be a constant multiple of
-    f(p2).  False certifies they are not proportional; True means the
-    test is inconclusive."""
-    if p1.p != p2.p:
-        raise HypothesisNotMet("parameters live over different primes")
-    p = p1.p
-    if min(p1.a, p1.b, p1.c, p1.a + p1.b - p1.c) < 3:
-        raise HypothesisNotMet("need min{a1, b1, c1, a1+b1-c1} >= 3")
-    if p1.a + p1.b != p2.a + p2.b:
-        return False
-    left = sorted((p1.a % p, p1.c % p, (p2.c - p2.b - 1) % p))
-    right = sorted((p2.a % p, p2.c % p, (p1.c - p1.b - 1) % p))
-    if left != right:
-        return False
-    return True
-
-
 def Dpk(f: FpUniPoly, k: int) -> FpUniPoly:
     """Divided-power derivative: sum_i floor(i/p^k) a_i t^(i-p^k).
 
@@ -316,25 +297,3 @@ def Dpk(f: FpUniPoly, k: int) -> FpUniPoly:
         raise ParamOutOfRange("k must be >= 0")
     q = f.field.p**k
     return FpUniPoly._from_terms(f.field, {i - q: (i // q) * c for i, c in f.terms if i >= q})
-
-
-def Dpk_multi(f: FpMultiPoly, k: int, var: int) -> FpMultiPoly:
-    """Dpk acting on one variable of a multivariate polynomial, the other
-    variables riding along as coefficients."""
-    if k < 0:
-        raise ParamOutOfRange("k must be >= 0")
-    p = f.field.p
-    q = p**k
-    out: dict = {}
-    for exps, coeff in f.terms.items():
-        i = exps[var]
-        if i < q:
-            continue
-        c = (i // q) % p * coeff % p
-        if not c:
-            continue
-        e = list(exps)
-        e[var] = i - q
-        key = tuple(e)
-        out[key] = (out.get(key, 0) + c) % p
-    return FpMultiPoly(f.field, f.r, out)

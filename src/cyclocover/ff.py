@@ -27,7 +27,7 @@ constant:
     coefficients; from 6,000 on, half-gcd, O(M(n) log n);
   - powmod mod f of degree n: below n = 512, square-and-multiply on
     Kronecker-packed integers, each product reduced by a polynomial
-    Barrett step with one inverse series per call, so 3 M(n) and no
+    Barrett step with one inverse series per modulus, so 3 M(n) and no
     Python loop over coefficients per step; from 512 on, one product and
     one division on lists per step.
 """
@@ -436,7 +436,9 @@ def _gcd_coeffs(a, b, p: int) -> list:
     (p - q) * B << w s to A, so A's top slot becomes a multiple of p; it
     and the other slots from deg B up are cut off once the quotient is
     done.  Leading coefficients are read exactly, as slot % p, and top
-    slots that are 0 mod p are dropped from the remainder.
+    slots that are 0 mod p are dropped from the remainder; so a divisor's
+    top slot is below 2p and a unit mod p, and pow(slot, -1, p), which
+    reduces it first, is its inverse.
 
     Reduction.  After each remainder every slot is brought back to
     [0, 2p) at once by the slot-wise Barrett step
@@ -477,7 +479,7 @@ def _gcd_coeffs(a, b, p: int) -> list:
     A, B = _pack(a, size), _pack(b, size)
     da, db = len(a) - 1, len(b) - 1
     while B:
-        inv = pow(B >> w * db, p - 2, p)
+        inv = pow(B >> w * db, -1, p)
         if da == db + 1:
             # both terms of a linear quotient in one product: q1 from A's
             # top slot, q0 from the slot db that A - q1 B t leaves, A's
@@ -529,14 +531,18 @@ class FpUniPoly:
 
     The zero polynomial has an empty coefficient tuple and degree None
     (never -1, so it cannot leak into index arithmetic).
+
+    ``_barrett`` is the packed Barrett inverse that poly_powmod reduces by
+    when this polynomial is the modulus, also computed at most once.
     """
 
-    __slots__ = ("field", "_coeffs", "_terms")
+    __slots__ = ("field", "_coeffs", "_terms", "_barrett")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int]):
         self.field = field
         self._coeffs = tuple(_trimmed([c % field.p for c in coeffs]))
         self._terms = None
+        self._barrett = None
 
     @classmethod
     def _raw(cls, field: PrimeField, coeffs) -> "FpUniPoly":
@@ -547,6 +553,7 @@ class FpUniPoly:
         poly.field = field
         poly._coeffs = tuple(coeffs)
         poly._terms = None
+        poly._barrett = None
         return poly
 
     @classmethod
@@ -558,6 +565,7 @@ class FpUniPoly:
         poly.field = field
         poly._coeffs = None
         poly._terms = tuple(sorted((e, r) for e, c in terms.items() if (r := c % p)))
+        poly._barrett = None
         return poly
 
     @property
@@ -745,8 +753,10 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
 
     Reduction.  A product a of two residues of degree < n has degree at
     most 2n - 2; one below degree n needs no reduction mod f.  Otherwise,
-    with mu = t^(2n-2) div f, found once per call at the first product of
-    degree >= n, the quotient is Q = (a1 mu) div t^(n-2) for
+    with mu = t^(2n-2) div f, found at the first product of degree >= n
+    and kept on mod (packed: its slot size depends only on p and n), so
+    every later power mod the same object reuses it, the quotient is
+    Q = (a1 mu) div t^(n-2) for
     a = a1 t^n + a0, deg a0 < n (polynomial Barrett reduction).  Proof:
     write t^(2n-2) = mu f + rho and a1 mu = Q t^(n-2) + R, with
     deg rho < n and deg R < n - 2.  Then
@@ -795,7 +805,7 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     w = 8 * size
     neg = _pack([p - c if c else 0 for c in f[:n]], size)
     low = (1 << w * n) - 1
-    mu = None
+    mu = mod._barrett
     B, db = _pack(b, size), len(b) - 1
     R, dr = B, db
     for bit in bin(e)[3:]:
@@ -806,7 +816,7 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
                 R, dr = _reduce_slots(a, p, x, m, pat), da
                 continue
             if mu is None:
-                mu = _pack(_barrett_inverse(f, p), size)
+                mu = mod._barrett = _pack(_barrett_inverse(f, p), size)
             q = _reduce_slots(_reduce_slots(a >> w * n, p, x, m, pat) * mu >> w * (n - 2), p, x, m, pat)
             R, dr = _reduce_slots((a + q * neg) & low, p, x, m, pat), n - 1
     return FpUniPoly._raw(field, _trimmed(_unpack(R, dr + 1, size, p)))
@@ -880,7 +890,13 @@ def _squarefree_parts(f: FpUniPoly) -> dict:
 def _distinct_degree(f: FpUniPoly):
     """Monic squarefree f -> (product of irreducible factors of degree d, d)
     for increasing d, lazily: a consumer that stops early pays no powmod
-    for the higher degrees."""
+    for the higher degrees.
+
+    Step d takes h = t^(p^d) mod cur as the p-th power of the last h, and
+    splits off gcd(cur, h - t).  cur is a new object only when a block is
+    found, so poly_powmod computes its Barrett inverse at the first step
+    whose product reaches deg cur and reuses it at every later step until
+    then: one inverse per modulus, not one per d."""
     p = f.field.p
     t = FpUniPoly(f.field, [0, 1])
     h = t
@@ -940,9 +956,27 @@ def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
     """Least monic irreducible factor of monic squarefree f in the order
     (degree, coefficients) that factor sorts by.  Irreducible factors are
     unique, so this is factor(f, seed).factors[0][0] for every seed; only
-    the lowest distinct-degree block is split."""
+    the lowest distinct-degree block is split.
+
+    The two least first.  Coefficient tuples run lowest degree first with
+    entries in [0, p), so the monic linear t + c has coeffs (c, 1), and
+    in this order t < t + 1 < t + c (2 <= c < p) < every monic of degree
+    2 or more.  So when f(0) = 0 the answer is t, and else, when
+    f(-1) = 0 (the alternating coefficient sum), it is t + 1, whatever
+    the seed, with no split at all.  A symmetric f(a,a,c) with c <= a
+    (as strip leaves it), or its monic form, has f(0) = C(a,c) != 0 and
+    takes the second exactly when c is odd:
+    f(a,a,c) = sum_i C(a,i) C(a,c-i) t^i is the coefficient of x^c in
+    (1 + t x)^a (1 + x)^a, so at t = -1 it is [x^c] (1 - x^2)^a, which is
+    0 for odd c and (-1)^(c/2) C(a, c/2) for even c, a unit as
+    c/2 <= a < p."""
     if f.degree is None or f.degree < 1:
         raise InvalidInput("a constant has no irreducible factor")
+    field, coeffs = f.field, f.coeffs
+    if coeffs[0] == 0:
+        return FpUniPoly._raw(field, [0, 1])
+    if (sum(coeffs[::2]) - sum(coeffs[1::2])) % field.p == 0:
+        return FpUniPoly._raw(field, [1, 1])
     prod, d = next(_distinct_degree(f))
     return min(_equal_degree_split(prod, d, random.Random(seed)), key=lambda g: g.coeffs)
 

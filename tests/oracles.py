@@ -7,18 +7,20 @@ Python values: univariate polynomials as coefficient lists (lowest degree
 first, trailing zeros trimmed), multivariate polynomials as dicts mapping
 exponent tuples to nonzero residues.
 
-The last section is the exception: the generic routines that the
-package's faster paths replaced, kept as references.  They run on the
-package's polynomial types and its squarefree and factoring kernels.
+The last two sections are the exception: the generic routines that the
+package's faster paths replaced, kept as references, and fabc laws that
+only tests use.  They run on the package's polynomial types and kernels.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from cyclocover.errors import InvalidInput, ParamOutOfRange
+from cyclocover.errors import HypothesisNotMet, InvalidInput, ParamOutOfRange
+from cyclocover.fabc import FabcParams
 from cyclocover.ff import (
     ExtField,
+    FpMultiPoly,
     FpUniPoly,
     _distinct_degree,
     _equal_degree_split,
@@ -349,3 +351,47 @@ def slice_counts_dp(bs, n, k=0):
         ways = [v - (acc[s - b - 1] if s > b else 0) for s, v in enumerate(acc)]
     by_e = [ways[n - e] for e in range(min(bs[k], n) + 1)]
     return sum(by_e), sum((e + 1) * c for e, c in enumerate(by_e))
+
+
+# ---------------------------------------------------------------------------
+# fabc laws that no package path calls
+
+
+def proportionality_obstruction(p1: FabcParams, p2: FabcParams) -> bool:
+    """Cheap necessary conditions for f(p1) to be a constant multiple of
+    f(p2).  False certifies they are not proportional; True means the
+    test is inconclusive."""
+    if p1.p != p2.p:
+        raise HypothesisNotMet("parameters live over different primes")
+    p = p1.p
+    if min(p1.a, p1.b, p1.c, p1.a + p1.b - p1.c) < 3:
+        raise HypothesisNotMet("need min{a1, b1, c1, a1+b1-c1} >= 3")
+    if p1.a + p1.b != p2.a + p2.b:
+        return False
+    left = sorted((p1.a % p, p1.c % p, (p2.c - p2.b - 1) % p))
+    right = sorted((p2.a % p, p2.c % p, (p1.c - p1.b - 1) % p))
+    if left != right:
+        return False
+    return True
+
+
+def Dpk_multi(f: FpMultiPoly, k: int, var: int) -> FpMultiPoly:
+    """Dpk acting on one variable of a multivariate polynomial, the other
+    variables riding along as coefficients."""
+    if k < 0:
+        raise ParamOutOfRange("k must be >= 0")
+    p = f.field.p
+    q = p**k
+    out: dict = {}
+    for exps, coeff in f.terms.items():
+        i = exps[var]
+        if i < q:
+            continue
+        c = (i // q) % p * coeff % p
+        if not c:
+            continue
+        e = list(exps)
+        e[var] = i - q
+        key = tuple(e)
+        out[key] = (out.get(key, 0) + c) % p
+    return FpMultiPoly(f.field, f.r, out)

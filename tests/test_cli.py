@@ -1033,7 +1033,8 @@ def test_multivariate_text_is_byte_identical_to_the_recorded_digest(capsys, argv
 # decomposition at the full degree: censuses of i0 = 3 chains (dims
 # (1, 2, 2, 1)), and witnesses on every chain of these data and primes
 # that takes the last-layer radical (7:4:1,1,1,4 at p = 53 with --b0 3
-# prints the same bytes too, but spends 8 s in least_factor)
+# prints the same bytes too, but takes about 4 s, nearly all of it in the
+# d = 3 step of least_factor's distinct-degree split at degree 44,141)
 
 LAST_LAYER_SHA256 = [
     ("census 7:4:1,1,1,4 -p 37 -o json", "65ddb46ae97a611c34575173398646ea87e909452e8ca62037479d558424d4fa"),
@@ -1058,6 +1059,31 @@ def test_last_layer_radicals_are_byte_identical_to_the_recorded_digest(capsys, a
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# recorded before least_factor read t and t + 1 off f(0) and f(-1) and
+# powmod kept one Barrett inverse per modulus: sha256 of the json stdout
+# of witness --seed 7 and then --seed 8 (the same bytes) over each datum's
+# primes and every base it accepts, M7 at p = +-1 mod 7 in (400, 1000]
+# and three data with radicals f(a,b,c), a != b, at 419, 433 and 461
+
+WITNESS_SEEDS_SHA256 = [
+    ("7:4:3,1,1,2", tuple(p for p in range(401, 1001) if p % 7 in (1, 6) and is_prime_u64(p)), (4, 5),
+     "0950c940c17d4e94f6fe98900c9e056aac648a734aadb6d7f1780bbe0f4068a9"),
+    ("7:4:1,2,5,6", (419, 433, 461), (1, 2, 3, 4, 5, 6),
+     "d567252ea354abc67ad7c342ebd7935230a5ad43b43b8b5be1a6a9a374994f79"),
+    ("7:4:1,1,2,3", (419, 433, 461), (2, 3, 4, 5),
+     "f3aab0c3a2edb4aa614c5b1a6b0ee5d0d4c2659d5434709018cb792082c9d69d"),
+    ("5:4:1,2,3,4", (419, 433, 461), (1, 2, 3, 4),
+     "5d4b3d3206f671126946010e9778d9566fc546c90ec72ca779ebc6737f76df66"),
+]
+
+
+@pytest.mark.parametrize("datum,primes,bases,digest", WITNESS_SEEDS_SHA256)
+def test_witness_at_two_seeds_is_byte_identical_to_the_recorded_digest(capsys, datum, primes, bases, digest):
+    argvs = [("witness", datum, "-p", str(p), "--b0", str(b0), "-o", "json", "--seed", seed)
+             for p in primes for b0 in bases for seed in ("7", "8")]
+    assert _stdout_digest(capsys, argvs) == digest
 
 
 _NU_EMPTY = '{"certificate":null,"dim":1,"label":"Nu","nonempty":false}'

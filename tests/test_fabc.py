@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cyclocover.errors import HypothesisNotMet, InvalidInput, ParamOutOfRange
 from cyclocover.fabc import (
     Dpk,
-    Dpk_multi,
     FabcParams,
     _homogenize,
     _kummer_coeffs,
@@ -16,14 +15,13 @@ from cyclocover.fabc import (
     fabc,
     fabc_gcd,
     fabc_profile,
-    proportionality_obstruction,
     separable_away_from_01,
     strip,
 )
 from cyclocover import fabc as fabc_module
 from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, _slot_layout, _unpack, is_prime_u64
 
-from oracles import FROZEN, fabc_brute
+from oracles import FROZEN, Dpk_multi, fabc_brute, proportionality_obstruction
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)

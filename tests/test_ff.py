@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclocover.errors import DegreeBudgetExceeded, InvalidInput, ParamOutOfRange
 from cyclocover import ff
-from cyclocover.fabc import Dpk
+from cyclocover.fabc import Dpk, FabcParams, fabc
 from cyclocover.ff import (
     ExtField,
     FpMultiPoly,
@@ -33,6 +33,8 @@ from cyclocover.ff import (
     least_factor,
     poly_powmod,
 )
+from cyclocover.hassewitt import OrbitContext, h1_radical
+from cyclocover.monodromy import parse_datum
 
 from oracles import (
     binom_mod,
@@ -337,14 +339,15 @@ def test_factor_against_sympy():
 
 
 @st.composite
-def products_of_distinct_irreducibles(draw):
-    """Monic squarefree product of distinct irreducibles of degrees 1-6."""
+def products_of_distinct_irreducibles(draw, avoid=()):
+    """Monic squarefree product of distinct irreducibles of degrees 1-6,
+    none with its coefficient tuple in avoid."""
     field = PrimeField(draw(st.sampled_from([3, 5, 13, 101])))
     rng = random.Random(draw(st.integers(0, 2**32)))
     found = set()
     for d in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
         g = FpUniPoly(field, [rng.randrange(field.p) for _ in range(d)] + [1])
-        while not is_irreducible(g):
+        while g.coeffs in avoid or not is_irreducible(g):
             g = FpUniPoly(field, [rng.randrange(field.p) for _ in range(d)] + [1])
         found.add(g)
     out = FpUniPoly.one(field)
@@ -364,6 +367,84 @@ def test_least_factor_is_the_first_factor(f, seed, other_seed):
 def test_least_factor_of_a_constant_is_invalid():
     with pytest.raises(InvalidInput):
         least_factor(FpUniPoly.one(F13), seed=1)
+
+
+@pytest.mark.parametrize("with_t,with_t1", [(True, False), (False, True), (True, True), (False, False)])
+@settings(max_examples=40, deadline=None)
+@given(products_of_distinct_irreducibles(avoid=((0, 1), (1, 1))), st.integers(0, 2**32))
+def test_least_factor_reads_t_and_t_plus_1_off_the_ends(with_t, with_t1, f, seed):
+    t = FpUniPoly(f.field, [0, 1])
+    for low, wanted in ((t, with_t), (t + FpUniPoly.one(f.field), with_t1)):
+        if wanted:
+            f = f * low
+    least = least_factor(f, seed)
+    assert least == factor(f, seed).factors[0][0]
+    if with_t:
+        assert least.coeffs == (0, 1)
+    elif with_t1:
+        assert least.coeffs == (1, 1)
+    else:
+        assert least.degree > 1 or least.coeffs[0] > 1
+
+
+# (p, a, c): monic f(a,a,c), squarefree; odd c puts a root at -1, and
+# c > a a root at 0
+SYMMETRIC_FABC = [
+    (3, 1, 1), (3, 2, 1), (3, 2, 3), (3, 1, 2),
+    (13, 6, 5), (13, 6, 4), (13, 12, 7),
+    (101, 40, 27), (101, 40, 26), (101, 70, 33),
+    (4621, 60, 41), (4621, 60, 40), (4621, 3000, 45), (4621, 3000, 44),
+]
+
+
+@pytest.mark.parametrize("p,a,c", SYMMETRIC_FABC)
+def test_least_factor_of_symmetric_fabc(p, a, c):
+    f = fabc(FabcParams(a, a, c, p), monic=True)
+    assert f.gcd(f.derivative()).degree == 0
+    # f(a,a,c)(-1) = [x^c] (1 - x^2)^a: zero exactly for odd c
+    assert (f.evaluate(p - 1) == 0) == (c % 2 == 1)
+    least = least_factor(f, seed=7)
+    assert least == factor(f, seed=8).factors[0][0]
+    if c > a:
+        assert least.coeffs == (0, 1)
+    elif c % 2 == 1:
+        assert least.coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, 3, 1],  # t (t + 3)
+    [0, 0, 5, 1],  # t^2 (t + 5): f(0) = 0 answers even off squarefree
+    [2, 3, 1],  # (t + 1)(t + 2)
+    [1, 0, 0, 1],  # t^3 + 1 = (t + 1)(t^2 - t + 1)
+])
+def test_least_factor_at_zero_or_minus_one_splits_nothing(coeffs, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("least_factor split a polynomial with a root at 0 or -1")
+
+    for name in ("poly_powmod", "_distinct_degree", "_equal_degree_split"):
+        monkeypatch.setattr(ff, name, refuse)
+    got = least_factor(FpUniPoly(F13, coeffs), seed=1)
+    assert got.coeffs == ((0, 1) if coeffs[0] == 0 else (1, 1))
+
+
+def test_distinct_degree_computes_one_barrett_inverse_per_modulus(monkeypatch):
+    # the M7 radical at p = 379, base 5, has degree 54 (packed powmod) and
+    # its first block at d = 10: ten powers mod one modulus, then twelve
+    # mod the cofactor of degree 44
+    rad = h1_radical(OrbitContext(parse_datum("7:4:3,1,1,2"), 379, 5))
+    assert rad.degree == 54
+    inverses, moduli = [], []
+    barrett, powmod = ff._barrett_inverse, ff.poly_powmod
+    monkeypatch.setattr(ff, "_barrett_inverse", lambda f, p: inverses.append(tuple(f)) or barrett(f, p))
+    monkeypatch.setattr(ff, "poly_powmod", lambda b, e, mod: moduli.append(mod.coeffs) or powmod(b, e, mod))
+    block, d = next(ff._distinct_degree(FpUniPoly(rad.field, rad.coeffs)))
+    assert (block.degree, d) == (10, 10)
+    assert len(moduli) == 10 and inverses == [rad.coeffs]
+    inverses.clear()
+    moduli.clear()
+    blocks = list(ff._distinct_degree(FpUniPoly(rad.field, rad.coeffs)))
+    assert [(g.degree, d) for g, d in blocks] == [(10, 10), (44, 22)]
+    assert len(inverses) == len(set(inverses)) == len(set(moduli)) == 2
 
 
 def test_ext_field_arithmetic():
