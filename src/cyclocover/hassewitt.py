@@ -166,11 +166,11 @@ def _graded_slice(field: PrimeField, bs, n: int, budget: int) -> FpMultiPoly:
     Every b_k is < p, so each binomial coefficient is a nonzero single
     Lucas digit and the slice has exactly as many terms as compositions.
     The walk visits each composition once, so a slice over the budget is
-    refused by its count (_slice_counts) before any term is walked."""
+    refused by its count (_slice_sizes) before any term is walked."""
     r = len(bs)
     if n < 0 or n > sum(bs):
         return FpMultiPoly.zero(field, r)
-    _check_slice_terms(_slice_counts(bs, n)[0], budget)
+    _check_slice_terms(_slice_sizes(bs, n, 0, budget)[0], budget)
     suffix = [0] * (r + 1)
     for k in range(r - 1, -1, -1):
         suffix[k] = suffix[k + 1] + bs[k]
@@ -528,6 +528,28 @@ def _slice_counts(bs, n: int, k: int = 0) -> tuple:
     return terms, shifted
 
 
+def _slice_sizes(bs, n: int, k: int, budget: int) -> tuple:
+    """(terms, shifted) of the degree-n slice, grouped at x_k, for its two
+    budget checks, terms <= budget and shifted <= 8 * budget: the exact
+    _slice_counts(bs, n, k), or upper bounds of both when the bounds
+    already pass both checks, so no check can tell them apart.
+
+    Proof.  The slice is zero exactly when n < 0 or n > sum(bs), and then
+    the exact count, (0, 0), is returned.  Otherwise its terms are
+    distinct compositions of n with parts 0 <= e_s <= b_s, so
+    terms <= P = prod_s (b_s + 1), and each adds e_k + 1 <= b_k + 1 to
+    shifted, so shifted <= (b_k + 1) P.  When P <= budget and
+    (b_k + 1) P <= 8 * budget, the exact counts pass both checks as the
+    bounds do, and both are nonzero.  At p <= 13 and r = 4 the bounds are
+    at most 13^4 and 13^5, far below the default budget."""
+    if 0 <= n <= sum(bs):
+        bound = math.prod(b + 1 for b in bs)
+        shifted = (bs[k] + 1) * bound
+        if bound <= budget and shifted <= 8 * budget:
+            return bound, shifted
+    return _slice_counts(bs, n, k)
+
+
 def _slice_multiplicity(
     p: int, bs, n: int, j1: int, j2: int, budget: int, counts: Optional[tuple] = None
 ) -> int:
@@ -539,8 +561,8 @@ def _slice_multiplicity(
 
     with its checks in the same order (zero slice, term budget, labels,
     shift budget), and no slice or shift built.  `counts` is
-    _slice_counts(bs, n, k) with k = j2 - 1, or k = 0 when j2 is out of
-    range; it is computed here when not given.
+    _slice_sizes(bs, n, k, budget) with k = j2 - 1, or k = 0 when j2 is
+    out of range; it is computed here when not given.
 
     Proof.  Write alpha = b_{j1}, beta = b_{j2}, B' for the sum of the
     other b_k, and y for the shifted x_{j2}.  The slice is
@@ -561,7 +583,7 @@ def _slice_multiplicity(
     r = len(bs)
     # the term count does not depend on the slot grouped by
     if counts is None:
-        counts = _slice_counts(bs, n, j2 - 1 if 1 <= j2 <= r else 0)
+        counts = _slice_sizes(bs, n, j2 - 1 if 1 <= j2 <= r else 0, budget)
     terms, shifted = counts
     if not terms:
         raise InvalidInput("multiplicity in the zero polynomial")
@@ -839,31 +861,42 @@ def h0_divisor_multiplicity(
     sum_i p^{l-1-i} * v(entry_i) without expanding the product.  A phi
     or phi_dual entry's valuation is read off its branch exponents
     (_slice_multiplicity), so no chain and no slice is built; a psi entry
-    is built and shifted.  Each phi entry's slice is counted once, by the
-    closed form of _slice_counts grouped at x_{j2}, and the one count
-    serves both its budget check here and its multiplicity.  Every step's
-    slice size is checked, and every psi entry built, before any
-    valuation is taken, so each refusal is the one that building the
-    chain and then shifting its entries gives.  Chains with wider layers
-    fall back to expanding h0."""
+    is built and shifted.  One loop over the steps checks every phi
+    slice's size and builds every psi entry before any valuation is
+    taken, and the valuations then come in step order, each with its
+    checks in the order zero slice, term budget, labels, shift budget;
+    so each refusal is the one that building the chain and then shifting
+    its entries gives.  Chains with wider layers fall back to expanding h0.
+
+    A phi slice's sizes feed only the two budget checks, so they are
+    counted exactly only when the product bound fails (_slice_sizes): a
+    slice of prod_s (b_s + 1) = P terms at most, whose shift writes at
+    most (b_{j2} + 1) P terms, passes both checks whenever P <= budget and
+    (b_{j2} + 1) P <= 8 * budget, and it is zero exactly when
+    n < 0 or n > sum(bs)."""
     if not all(d == 1 for d in ctx.dims):
         return divisor_multiplicity(h0(ctx, budget), j1, j2, budget)
     p = ctx.p
     k = j2 - 1 if 1 <= j2 <= ctx.datum.r else 0
-
-    def phi(w, jp, j):
-        bs = branch_exponents(ctx.datum, p, w)
-        n = sum(bs) - (p * j - jp)
-        counts = _slice_counts(bs, n, k)
-        _check_slice_terms(counts[0], budget)
-        return functools.partial(_slice_multiplicity, p, bs, n, counts=counts)
-
-    def psi(w, jp, j):
-        entry = psi_entry(ctx.datum, p, w, jp, j, budget)
-        return functools.partial(divisor_multiplicity, entry)
-
-    layers = _layers(ctx, ctx.l, phi, psi)
-    return sum(p ** (ctx.l - 1 - i) * mat[0][0](j1, j2, budget) for i, mat in enumerate(layers))
+    steps = []
+    for kind, w in zip(ctx.kinds, ctx.chain_chars):
+        if kind in (KIND_PHI, KIND_PHI_DUAL):
+            bs = branch_exponents(ctx.datum, p, w)
+            n = sum(bs) - p + 1
+            sizes = _slice_sizes(bs, n, k, budget)
+            _check_slice_terms(sizes[0], budget)
+            steps.append((bs, n, sizes))
+        else:
+            steps.append(psi_entry(ctx.datum, p, w, 1, 1, budget))
+    total = 0
+    for step in steps:
+        if isinstance(step, FpMultiPoly):
+            v = divisor_multiplicity(step, j1, j2, budget)
+        else:
+            bs, n, sizes = step
+            v = _slice_multiplicity(p, bs, n, j1, j2, budget, sizes)
+        total = total * p + v
+    return total
 
 
 def divisor_bound(ctx: OrbitContext, j1: int, j2: int) -> int:

@@ -7,6 +7,7 @@ with inertia generators a(1), ..., a(r) in Z/m.  Everything downstream
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -111,12 +112,14 @@ def equivalent(d1: MonodromyDatum, d2: MonodromyDatum) -> bool:
     return d1.m == d2.m and canonicalize(d1) == canonicalize(d2)
 
 
+@functools.lru_cache(maxsize=1024)
 def signature(d: MonodromyDatum) -> tuple:
     """f indexed by i = 0..m-1; f(0) = 0.
 
     f(i) = -1 + sum_k <i*a(k)/m>, with fractional parts done as exact
     integer arithmetic: the residue sum is divisible by m because the
-    labels sum to 0 mod m."""
+    labels sum to 0 mod m.  Cached, as every OrbitContext of a datum
+    asks for it again."""
     m = d.m
     f = [0] * m
     for i in range(1, m):

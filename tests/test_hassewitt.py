@@ -53,6 +53,7 @@ from cyclocover.hassewitt import (
     _qhat,
     _slice_counts,
     _slice_multiplicity,
+    _slice_sizes,
     _strip_01,
     _strip_w,
     _twisted_ends,
@@ -938,17 +939,17 @@ def _multiplicity_of_built_entries(ctx, j1, j2, budget):
     )
 
 
-def _criterion_10_chains():
-    """The l <= 2 chains of four-point M5 and M7 data at p <= 23, in the
-    order test_criterion_10_divisor_bound_sweep visits them; every one
-    is all-1x1 and all-phi."""
+def _criterion_10_chains(primes=(3, 5, 7, 11, 13, 17, 19, 23)):
+    """The l <= 2 chains of four-point M5 and M7 data at the given primes
+    (by default p <= 23, in the order test_criterion_10_divisor_bound_sweep
+    visits them); every one is all-1x1 and all-phi."""
     for m in (5, 7):
         for a in itertools.product(range(1, m), repeat=4):
             if sum(a) % m:
                 continue
             d = MonodromyDatum(m, 4, a)
             sig = signature(d)
-            for p in (3, 5, 7, 11, 13, 17, 19, 23):
+            for p in primes:
                 if p == m:
                     continue
                 for base in range(1, m):
@@ -1147,6 +1148,129 @@ def test_h0_multiplicity_on_1x1_chains_matches_the_built_entries():
     want = "DegreeBudgetExceeded: graded slice exceeds 428 terms"
     assert _outcome_text(lambda: _multiplicity_of_built_entries(ctx, 1, 1, 428)) == want
     assert _outcome_text(lambda: h0_divisor_multiplicity(ctx, 1, 1, 428)) == want
+
+
+def _bound_budgets(ctx, j2):
+    """Budgets on either side of each step's product bounds, P - 1 and P
+    for the terms (P = prod_s (b_s + 1)) and c - 1 and c for the shift
+    (c = ceil((b_{j2} + 1) P / 8)), and likewise of its exact counts."""
+    out = set()
+    for w in ctx.chain_chars:
+        bs = branch_exponents(ctx.datum, ctx.p, w)
+        bound = math.prod(b + 1 for b in bs)
+        terms, shifted = slice_counts_dp(bs, sum(bs) - ctx.p + 1, j2 - 1)
+        for t, s in ((bound, (bs[j2 - 1] + 1) * bound), (terms, shifted)):
+            out |= {t - 1, t, -(-s // 8) - 1, -(-s // 8)}
+    return sorted(out)
+
+
+# sha256 of every outcome (value, or error class and message) of
+# h0_divisor_multiplicity over the l <= 2 chains at p = 11, 13 and 19,
+# the twelve ordered label pairs, _bound_budgets and the default budget;
+# recorded while every phi slice was still counted exactly
+H0_BOUND_SHA256 = "2382c315bcc703e154f6acc2bd39d56f2a7e2dc6a942c14e301e30a51136eab7"
+
+# sha256 of the repr of the list of h0_divisor_multiplicity values at the
+# default budget over _criterion_10_chains and the twelve ordered label
+# pairs, recorded with the same exact counts
+H0_DEFAULT_BUDGET_SHA256 = "4ed798fff78f193c2c25238fa328520e0bae10b5c28c8a03a5efbe03914a330f"
+
+
+def test_h0_multiplicity_around_the_product_bounds_golden_digest():
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for ctx in _criterion_10_chains((11, 13, 19)):
+        for j1, j2 in itertools.permutations(range(1, 5), 2):
+            for budget in _bound_budgets(ctx, j2) + [None]:
+                kwargs = {} if budget is None else {"budget": budget}
+                outcome = _outcome_text(lambda: h0_divisor_multiplicity(ctx, j1, j2, **kwargs))
+                digest.update(f"{outcome}\n".encode())
+                outcomes[outcome.split(":")[0] if ":" in outcome else "value"] += 1
+    assert digest.hexdigest() == H0_BOUND_SHA256
+    assert set(outcomes) == {"value", "DegreeBudgetExceeded"}
+
+
+def test_h0_multiplicity_at_the_default_budget_counts_no_slice(monkeypatch):
+    # every phi slice of these chains is within both product bounds at the
+    # default budget, so no exact count is taken
+    def unexpected(*args, **kwargs):
+        raise AssertionError("counted a slice within its product bounds")
+
+    monkeypatch.setattr(hassewitt, "_slice_counts", unexpected)
+    got = [
+        h0_divisor_multiplicity(ctx, j1, j2)
+        for ctx in _criterion_10_chains()
+        for j1, j2 in itertools.permutations(range(1, 5), 2)
+    ]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == H0_DEFAULT_BUDGET_SHA256
+
+
+def _size_verdict(counts, budget):
+    """What the budget checks make of a slice's (terms, shifted)."""
+    terms, shifted = counts
+    if not terms:
+        return "zero"
+    if terms > max(budget, 0):
+        return "terms"
+    return "shift" if shifted > 8 * budget else "accept"
+
+
+@st.composite
+def _size_cases(draw):
+    p = draw(st.sampled_from(_primes_in(3, 38)))
+    r = draw(st.integers(2, 5))
+    bs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)))
+    n = draw(st.integers(-1, sum(bs) + 1))
+    k = draw(st.integers(0, r - 1))
+    bound = math.prod(b + 1 for b in bs)
+    edges = [e + d for e in (bound, -(-(bs[k] + 1) * bound // 8)) for d in (-1, 0, 1)]
+    budget = draw(st.sampled_from(edges) | st.integers(-1, 3000))
+    return bs, n, k, budget
+
+
+@given(_size_cases())
+@example(((0, 0), 0, 0, 0))
+@example(((3, 3, 3), 4, 1, 64))
+@example(((3, 3, 3), 4, 1, 31))
+@settings(max_examples=400, deadline=None)
+def test_slice_sizes_pass_the_checks_as_the_exact_counts_do(case):
+    bs, n, k, budget = case
+    assert _size_verdict(_slice_sizes(bs, n, k, budget), budget) == _size_verdict(
+        slice_counts_dp(bs, n, k), budget
+    )
+
+
+@st.composite
+def _small_slices(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    r = draw(st.integers(2, 4))
+    bs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r)))
+    return p, bs, draw(st.integers(0, sum(bs)))
+
+
+@given(_small_slices())
+@example((3, (0, 0), 0))
+@settings(max_examples=100, deadline=None)
+def test_graded_slice_where_the_product_bound_first_fails(case):
+    # below the least budget that passes both bounds at x_1 the slice is
+    # counted exactly; at it, it is not; both give the exact count's outcome
+    p, bs, n = case
+    bound = math.prod(b + 1 for b in bs)
+    first = max(bound, -(-(bs[0] + 1) * bound // 8))
+    terms = slice_counts_dp(bs, n)[0]
+    want_slice = str(sorted(oracle_graded_slice(bs, n, p).items()))
+    exact, counted = hassewitt._slice_counts, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hassewitt, "_slice_counts", lambda *args: counted.append(budget) or exact(*args))
+        for budget in (first - 1, first):
+            want = (
+                f"DegreeBudgetExceeded: graded slice exceeds {budget} terms"
+                if terms > max(budget, 0)
+                else want_slice
+            )
+            got = _outcome_text(lambda: sorted(_graded_slice(PrimeField(p), bs, n, budget).terms.items()))
+            assert got == want
+    assert counted == [first - 1]
 
 
 def _slice_grid():
