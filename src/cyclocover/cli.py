@@ -39,7 +39,7 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import __version__
@@ -108,7 +108,9 @@ class RunConfig:
             raise ParamOutOfRange("seed must fit in 64 bits")
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+# each field's default, copied fresh by build_config
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_CONFIG_KEYS = tuple(_DEFAULTS)
 
 
 def _coerce_int(name: str, value) -> int:
@@ -140,7 +142,7 @@ def read_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values = asdict(RunConfig())
+    values = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         for key, raw in read_config_file(config_path).items():

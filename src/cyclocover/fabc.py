@@ -12,12 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HypothesisNotMet, ParamOutOfRange
+from .errors import HypothesisNotMet, InvalidInput, ParamOutOfRange
 from .ff import (
     FpUniPoly,
     PrimeField,
     is_prime_u64,
+    poly_powmod,
+    _distinct_degree,
     _gcd_coeffs,
+    _least_in_block,
     _pack,
     _reduce_slots,
     _slot_layout,
@@ -277,6 +280,82 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
     if odd:
         h = [(x + y) % p for x, y in zip(h + [0], [0] + h)]
     return FpUniPoly._raw(PrimeField(p), h)
+
+
+def fabc_least_irreducible(params: FabcParams, seed: int) -> FpUniPoly:
+    """Least monic irreducible factor, in the order (degree,
+    coefficients), of f = fabc(params, monic=True) for a symmetric
+    f(a,a,c) with f(0) f(1) != 0, as strip leaves every symmetric
+    radical: ff.least_factor(f, seed), the same for every seed, found
+    without building f.  For odd c it is t + 1, with no split:
+    f(0) = C(a,c) != 0 and f(-1) = 0 (least_factor's docstring).  For
+    even c, f(0) f(-1) != 0, and the distinct-degree search runs in
+    Kummer's variable, at half the degree.  Proof, with D = c / 2 and
+    R(u) = Q(4u) = sum_j r_j u^j (_kummer_coeffs) of fabc_gcd's docstring:
+      * f(0) = C(a,c) != 0 gives c <= a, so fabc_gcd's identity reads
+        f(a,a,c) = C(a,c) (1 + t)^(2D) R(t / (1 + t)^2), with deg R = D
+        and R(0) = 1.  f is squarefree (h1_radical's proof), hence so
+        is R.
+      * Let pi be an irreducible factor of R of degree e, and u0 in
+        F_{p^e} a root of it; u0 != 0.  The t over u0 solve
+        t = u0 (1 + t)^2, or u0 t^2 + (2 u0 - 1) t + u0 = 0, with
+        discriminant (2 u0 - 1)^2 - 4 u0^2 = 1 - 4 u0.  That is not 0:
+        u0 = 1/4 would make t = 1 a root of f.  So there are two distinct
+        roots t = (1 - 2 u0 +- sqrt(1 - 4 u0)) / (2 u0), and
+        u0 = t / (1 + t)^2 lies in F_p(t), so F_{p^e} lies in F_p(t).
+      * If 1 - 4 u0 is a square in F_{p^e}, both t lie in F_{p^e} and
+        each has degree exactly e: the 2e roots over the e conjugates of
+        u0 make two t-factors of degree e.  If it is not, t lies in
+        F_{p^(2e)} but not in F_{p^e}, so it has degree 2e: one t-factor
+        of degree 2e.  These are the factors of
+        P_pi = (1 + t)^(2e) pi(t / (1 + t)^2), of degree 2e with top
+        coefficient pi(0) != 0, and f is a unit times the product of the
+        P_pi.  So f's irreducible factors of degree d come from the pi of
+        degree d with a square discriminant and those of degree d / 2
+        without one.
+      * The square test.  For u0 != 1/4, (1 - 4 u0)^((p^e - 1) / 2) is 1
+        when 1 - 4 u0 is a square in F_{p^e} and -1 when it is not
+        (Euler's criterion in the cyclic group F_{p^e}*).  So for the
+        u-block B_e, the product of R's factors of degree e,
+        S_e = gcd(B_e, (1 - 4u)^((p^e - 1) / 2) - 1) is the product of
+        those with a square discriminant, and N_e = B_e / S_e the rest.
+      * The search.  The least t-degree d* is the least of every e with
+        S_e != 1 and 2 e1 for the least e1 with N_e1 != 1.  The u-search
+        goes up in e and stops at the first e with S_e != 1, or at
+        e = 2 e1 once N_e1 != 1 is found.  f's degree-d* block is
+        P_U = (1 + t)^(2k) U(t / (1 + t)^2) for U = S_d* N_(d*/2) of
+        degree k, N_(d*/2) taken only when d* = 2 e1; _homogenize builds
+        it, and dividing by its top coefficient U(0) makes it monic.  The
+        seeded split of that block and the least of its factors follow
+        as in least_factor (ff._least_in_block).
+    Every powmod and gcd of the search but that last split runs at
+    degree at most D = deg f / 2."""
+    a, c, p = params.a, params.c, params.p
+    if params.b != a or fabc_profile(params)[1:] != (0, 0):
+        raise HypothesisNotMet("need a = b and f(0) f(1) != 0, as strip leaves a symmetric member")
+    if not c:
+        raise InvalidInput("a constant has no irreducible factor")
+    field = PrimeField(p)
+    if c % 2:
+        return FpUniPoly._raw(field, [1, 1])
+    disc = FpUniPoly._raw(field, [1, -4 % p])  # 1 - 4u
+    one = FpUniPoly.one(field)
+    best = half = None  # 2 e1 and N_e1
+    for b, e in _distinct_degree(FpUniPoly._raw(field, _kummer_coeffs(a, c, p)).monic()):
+        if b.degree:
+            square = b.gcd(poly_powmod(disc, (p**e - 1) // 2, b) - one)
+            if square.degree:
+                d, u = e, (square * half if e == best else square)
+                break
+            if best is None:
+                best, half = 2 * e, b
+        if e == best:
+            d, u = best, half
+            break
+    else:
+        d, u = best, half
+    block = FpUniPoly._raw(field, _homogenize(list(u.coeffs), p)).monic()
+    return _least_in_block(block, d, seed)
 
 
 def separable_away_from_01(f: FpUniPoly) -> bool:

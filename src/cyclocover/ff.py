@@ -889,22 +889,28 @@ def _squarefree_parts(f: FpUniPoly) -> dict:
 
 def _distinct_degree(f: FpUniPoly):
     """Monic squarefree f -> (product of irreducible factors of degree d, d)
-    for increasing d, lazily: a consumer that stops early pays no powmod
-    for the higher degrees.
+    for d = 1, 2, ... in turn, the constant 1 at a degree with no factor,
+    up to the largest factor degree.  Lazy: a consumer stops at the
+    degree it needs and pays no powmod past it.
 
     Step d takes h = t^(p^d) mod cur as the p-th power of the last h, and
     splits off gcd(cur, h - t).  cur is a new object only when a block is
     found, so poly_powmod computes its Barrett inverse at the first step
     whose product reaches deg cur and reuses it at every later step until
-    then: one inverse per modulus, not one per d."""
+    then: one inverse per modulus, not one per d.  Once deg cur < 2d, cur
+    has no factor of degree below d, so it is irreducible: the steps up
+    to deg cur need no powmod."""
     p = f.field.p
     t = FpUniPoly(f.field, [0, 1])
+    one = FpUniPoly.one(f.field)
     h = t
     cur = f
     d = 0
     while cur.degree and cur.degree > 0:
         d += 1
         if cur.degree < 2 * d:
+            for e in range(d, cur.degree):
+                yield one, e
             yield cur, cur.degree
             return
         h = poly_powmod(h, p, cur)
@@ -913,10 +919,19 @@ def _distinct_degree(f: FpUniPoly):
             yield g, d
             cur = (cur // g).monic()
             h = h % cur
+        else:
+            yield one, d
 
 
 def _equal_degree_split(f: FpUniPoly, d: int, rng: random.Random) -> list:
-    """Monic squarefree product of degree-d irreducibles -> list of them."""
+    """Monic squarefree product of degree-d irreducibles -> list of them.
+
+    Cantor-Zassenhaus: for a random u of degree < deg f, each factor pi
+    sees u^((p^d - 1) / 2) as 1, -1 or, when pi divides u, 0.  So
+    gcd(f, u^((p^d - 1) / 2) - 1) is the product of the factors that see
+    1, a proper factor unless all of them see 1 or none does.  A u that
+    shares a factor with f needs no gcd of its own: that factor sees 0
+    and stays out of the product, like one that sees -1."""
     p = f.field.p
     if f.degree == d:
         return [f]
@@ -925,9 +940,6 @@ def _equal_degree_split(f: FpUniPoly, d: int, rng: random.Random) -> list:
         u = FpUniPoly(f.field, [rng.randrange(p) for _ in range(n)])
         if u.is_zero or (u.degree is not None and u.degree == 0):
             continue
-        g = f.gcd(u)
-        if g.degree and 0 < g.degree < n:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split((f // g).monic(), d, rng)
         v = poly_powmod(u, (p**d - 1) // 2, f) - FpUniPoly.one(f.field)
         if v.is_zero:
             continue
@@ -946,10 +958,25 @@ def factor(f: FpUniPoly, seed: int) -> Factorization:
     found: dict = {}
     for part, mult in _squarefree_parts(f.monic()).items():
         for prod, d in _distinct_degree(part):
+            if not prod.degree:
+                continue
             for irr in _equal_degree_split(prod, d, rng):
                 found[irr] = found.get(irr, 0) + mult
     factors = sorted(found.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return Factorization(unit=unit, factors=tuple(factors))
+
+
+def _first_block(f: FpUniPoly) -> tuple:
+    """(product of the irreducible factors of least degree d, d) of monic
+    squarefree f of degree >= 1."""
+    return next(block for block in _distinct_degree(f) if block[0].degree)
+
+
+def _least_in_block(block: FpUniPoly, d: int, seed: int) -> FpUniPoly:
+    """Least factor in the order (degree, coefficients) of a monic
+    squarefree product of irreducibles of degree d; the seed drives only
+    the equal-degree split."""
+    return min(_equal_degree_split(block, d, random.Random(seed)), key=lambda g: g.coeffs)
 
 
 def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
@@ -969,7 +996,9 @@ def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
     f(a,a,c) = sum_i C(a,i) C(a,c-i) t^i is the coefficient of x^c in
     (1 + t x)^a (1 + x)^a, so at t = -1 it is [x^c] (1 - x^2)^a, which is
     0 for odd c and (-1)^(c/2) C(a, c/2) for even c, a unit as
-    c/2 <= a < p."""
+    c/2 <= a < p.  For even c, fabc.fabc_least_irreducible finds the same
+    factor with its distinct-degree search in Kummer's variable, at half
+    the degree."""
     if f.degree is None or f.degree < 1:
         raise InvalidInput("a constant has no irreducible factor")
     field, coeffs = f.field, f.coeffs
@@ -977,8 +1006,7 @@ def least_factor(f: FpUniPoly, seed: int) -> FpUniPoly:
         return FpUniPoly._raw(field, [0, 1])
     if (sum(coeffs[::2]) - sum(coeffs[1::2])) % field.p == 0:
         return FpUniPoly._raw(field, [1, 1])
-    prod, d = next(_distinct_degree(f))
-    return min(_equal_degree_split(prod, d, random.Random(seed)), key=lambda g: g.coeffs)
+    return _least_in_block(*_first_block(f), seed)
 
 
 def is_irreducible(f: FpUniPoly) -> bool:
@@ -988,7 +1016,7 @@ def is_irreducible(f: FpUniPoly) -> bool:
     t^(p^e) - t, so its first block comes at d <= e."""
     if f.is_zero or f.degree == 0:
         return False
-    return next(_distinct_degree(f.monic()))[1] == f.degree
+    return _first_block(f.monic())[1] == f.degree
 
 
 class ExtField:

@@ -104,7 +104,7 @@ from .errors import (
     PDividesM,
     PsiHypothesisNotMet,
 )
-from .fabc import FabcParams, _ratio_run, fabc, strip
+from .fabc import FabcParams, _ratio_run, fabc, fabc_least_irreducible, strip
 from .ff import (
     DEFAULT_TERM_BUDGET,
     ExtField,
@@ -1155,15 +1155,28 @@ def nonordinary_witness(
 ) -> Optional[Witness]:
     """Root of h1 off {0, 1}, as a concrete extension-field element.
 
-    The certificate does not depend on the seed, which drives only the
-    equal-degree split of the lowest-degree factors.  Returns None only
-    when h1 has no root off {0, 1} (for p > 3m that cannot happen)."""
+    The certificate is the least irreducible factor of h1_radical, unique,
+    so it does not depend on the seed, which drives only the equal-degree
+    split of the lowest-degree factors.  When the radical is
+    fabc(P, monic=True) for reduced parameters P = (a, a, c) of
+    h1_radical_params (one phi entry; every balanced pair's chain when
+    p = +-1 mod m has one), fabc_least_irreducible finds it, and for even
+    c its distinct-degree search runs in Kummer's variable at half the
+    degree (its docstring has the proofs: an irreducible factor of degree
+    e of R(u) = Q(4u) gives two t-factors of degree e when 1 - 4u is a
+    square in F_{p^e} and one of degree 2e when it is not).  strip leaves
+    P with f(0) f(1) != 0, as that function needs.  Every other radical
+    takes least_factor.  Returns None only when h1 has no root off {0, 1}
+    (for p > 3m that cannot happen)."""
     if dmax < 1:
         raise ParamOutOfRange("dmax must be >= 1")
-    rad = h1_radical(ctx, budget)
+    rad, params = h1_radical_params(ctx, budget)
     if rad.degree == 0:
         return None
-    cert = least_factor(rad, seed)
+    if params is not None and params.a == params.b:
+        cert = fabc_least_irreducible(params, seed)
+    else:
+        cert = least_factor(rad, seed)
     if cert.degree == 1:
         # root in the prime field itself; the certificate is monic
         alpha = -cert.coeffs[0] % ctx.p

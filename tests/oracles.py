@@ -329,9 +329,10 @@ def ext_roots(f, dmax, seed):
     irreducibles = []
     for part in _squarefree_parts(f.monic()):
         for prod, d in _distinct_degree(part):
-            if d > dmax:
+            if prod.degree:
+                irreducibles.extend(_equal_degree_split(prod, d, rng))
+            if d == dmax:
                 break
-            irreducibles.extend(_equal_degree_split(prod, d, rng))
     irreducibles.sort(key=lambda g: (g.degree, g.coeffs))
     return [(ExtField(f.field, g, check=False).generator(), g.degree) for g in irreducibles]
 

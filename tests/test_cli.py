@@ -1086,6 +1086,87 @@ def test_witness_at_two_seeds_is_byte_identical_to_the_recorded_digest(capsys, d
     assert _stdout_digest(capsys, argvs) == digest
 
 
+# recorded before witness ran the distinct-degree search of symmetric
+# radicals in Kummer's variable:
+# sha256 of "<argv>\n<exit code>\n<stdout>" over `witness -o json` at
+# seeds 1 and 7 on every base of each sorted four-point M5 or M7 datum, at
+# every prime p = +-1 mod m in (3m, 700]
+
+CLASS_PM1_WITNESS_SHA256 = {
+    "5:4:1,1,1,2": "e31e18a03c0c69015de9da0a9e8a37a76739e252564ac6b8116fe84229be5c95",
+    "5:4:1,1,4,4": "c53d0f7f27937319c9ce67ca66cc948399d75c595c637331059ae8915052080c",
+    "5:4:1,2,3,4": "f70fdef1e6504be733a8da5448f87d9af1dc04b73b433fbf26b1245e894b48dc",
+    "5:4:1,3,3,3": "ad512fc71c27e8d79e50ba59cb702baf3481e98c29ac3ad76659d3aaf1940fae",
+    "5:4:2,2,2,4": "c208e7814de4e422dec6237f968fd25eaea20b895432684688ea5d679b1d1127",
+    "5:4:2,2,3,3": "2bd6a55798390c81dccc3301ec0fc4476404ddcb99f3e7fe69c3273cf8e72fba",
+    "5:4:3,4,4,4": "ee652da7b074cf53eb8cb03b5467b34ae4b56c8a5465e144bc1df6c2a6238111",
+    "7:4:1,1,1,4": "f4c5c321a842e6c77d8fabc2db38861ab9929f9b3672c0a0570f5b6a8ab5f711",
+    "7:4:1,1,2,3": "569e27e610d340e20d1eaa6d261063ef189248ede9f1d923e0b13855efd23c2d",
+    "7:4:1,1,6,6": "2eddbe194bb872e237530a35c2b7fd872a2ecf0c696ab76aa878192cdfb57154",
+    "7:4:1,2,2,2": "610a675ceddb2573ac1d00173f85e1c7677ac582a414fed4fede6a33860c2ae7",
+    "7:4:1,2,5,6": "8b06997adca0c3d6f248414877a8f806d4505c6858b65f42615984c9ab0162a5",
+    "7:4:1,3,4,6": "e649ee6261f6bba0fa0e1038a3106fb993bbd489f2edf4f50bb0baa466fb2830",
+    "7:4:1,3,5,5": "5827f6bd1fef8931d62b2ae1f9c544ff961dcbe49fd25718f443478644b24756",
+    "7:4:1,4,4,5": "7deb762b8691c6473c2d61b8c9582b0685b4bcf6eb7a69eb3ac909b3d132a8f9",
+    "7:4:2,2,4,6": "51874118baf94d53226e3586fef80e82583ef23092669947f2d19c18ab72a2a9",
+    "7:4:2,2,5,5": "8b52035ca0bcf3fb107969dcd410363844ff60580bee9cd299ec120a03a97382",
+    "7:4:2,3,3,6": "3df4a96dc7694898717b698c88a206283204743e317c5aa5222b13ed53cc62f4",
+    "7:4:2,3,4,5": "40d223b43a019d5e8792937fb515ffcdf0c41faf83782bc7b57c114db1f0f665",
+    "7:4:2,4,4,4": "6c1bf924e48b2f80ecdd702cc8ee1680ac955aeda01e65e706eecb0d26d6875d",
+    "7:4:3,3,3,5": "233aa9d365427eebf4f5ca6edda9da7592047bf8cb1266b2c67cf655ac75c685",
+    "7:4:3,3,4,4": "481f5a0cdcf5e06ff096bebc1d08ab6c50af797dcd859572fa83dacd9eb91a36",
+    "7:4:3,6,6,6": "50c610dc4e7f6cf9dc603edcdcd59453f43c5bcbae6612f9a64716cdbd48a660",
+    "7:4:4,5,6,6": "6a759f9c92fbd0c8536deacb6cc5a43108079046aa953adfd540515baed5fa9f",
+    "7:4:5,5,5,6": "b6e6b96c52dc02aa879f4a7a015e15703ca7e2bc4c45b4bd89171a8da91f12ee",
+}
+
+
+def _class_pm1_witness_argvs(text):
+    datum = parse_datum(text)
+    m = datum.m
+    sig = signature(datum)
+    bases = [b for b in range(1, m) if math.gcd(b, m) == 1 and sig[m - b] == 1]
+    for p in range(3 * m + 1, 701):
+        if p % m in (1, m - 1) and is_prime_u64(p):
+            for b0 in bases:
+                for seed in ("1", "7"):
+                    yield ("witness", text, "-p", str(p), "--b0", str(b0), "-o", "json", "--seed", seed)
+
+
+# recorded at the same time: symmetric radicals of degree 2,860 and 2,878
+# with no root in F_p (certificates of degree 4 and 7), 2.1 s and 4.1 s
+# then, 0.7 s and 1.3 s with the search in Kummer's variable (in process,
+# 2-vCPU x86-64, Python 3.11.7)
+
+LARGE_P_WITNESS_SHA256 = [
+    ("witness 7:4:3,1,1,2 -p 20021 --b0 4 --seed 1 -o json", "be51fb6462489bc9dba3f5145aa01121f295e67276125c1328ac933742f05b00"),
+    ("witness 7:4:3,1,1,2 -p 20147 --b0 5 --seed 1 -o json", "34dc5338055f7adcb63eedb860a9a88946e5e3652b95e632105780b312185d00"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LARGE_P_WITNESS_SHA256)
+def test_large_p_witness_is_byte_identical_to_the_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_class_pm1_witness_data_are_every_sorted_four_point_datum():
+    data = [f"{m}:4:{','.join(map(str, a))}" for m in (5, 7)
+            for a in itertools.combinations_with_replacement(range(1, m), 4)
+            if sum(a) % m == 0 and math.gcd(m, *a) == 1]
+    assert data == list(CLASS_PM1_WITNESS_SHA256)
+
+
+@pytest.mark.parametrize("datum", sorted(CLASS_PM1_WITNESS_SHA256))
+def test_class_pm1_witnesses_are_byte_identical_to_the_recorded_digest(capsys, datum):
+    digest = hashlib.sha256()
+    for argv in _class_pm1_witness_argvs(datum):
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == CLASS_PM1_WITNESS_SHA256[datum]
+
+
 _NU_EMPTY = '{"certificate":null,"dim":1,"label":"Nu","nonempty":false}'
 _NU_CERT = '{"certificate":"1 + 2*t^3 + 1*t^4","dim":1,"label":"Nu","nonempty":true}'
 

@@ -14,12 +14,23 @@ from cyclocover.fabc import (
     coprime_shift,
     fabc,
     fabc_gcd,
+    fabc_least_irreducible,
     fabc_profile,
     separable_away_from_01,
     strip,
 )
 from cyclocover import fabc as fabc_module
-from cyclocover.ff import FpMultiPoly, FpUniPoly, PrimeField, _slot_layout, _unpack, is_prime_u64
+from cyclocover import ff
+from cyclocover.ff import (
+    FpMultiPoly,
+    FpUniPoly,
+    PrimeField,
+    _slot_layout,
+    _unpack,
+    factor,
+    is_prime_u64,
+    least_factor,
+)
 
 from oracles import FROZEN, Dpk_multi, fabc_brute, proportionality_obstruction
 
@@ -475,3 +486,63 @@ def test_fabc_gcd_at_full_degree_is_no_slower_than_the_generic_gcd(monkeypatch):
     assert fabc_gcd(params, params) == expected
     odd = FabcParams(1319, 1319, 659, 4621)
     assert fabc_gcd(odd, odd) == fabc(odd).monic()
+
+
+def _strip_reduced_symmetric(p):
+    """Every (a, a, c) with 1 <= c <= a < p and f(1) = C(2a, c) != 0."""
+    return [FabcParams(a, a, c, p) for a in range(p) for c in range(1, a + 1)
+            if fabc_profile(FabcParams(a, a, c, p))[2] == 0]
+
+
+def test_fabc_least_irreducible_matches_least_factor_on_every_symmetric_member():
+    # every p <= 31: t + 1 for odd c, and for even c the Kummer search,
+    # whose linear factors come from its u-block of degree 1 with a square
+    # discriminant
+    even = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for params in _strip_reduced_symmetric(p):
+            f = fabc(params, monic=True)
+            want = factor(f, seed=3).factors[0][0]
+            even += params.c % 2 == 0
+            for seed in (1, 7):
+                assert fabc_least_irreducible(params, seed) == want, (params, seed)
+                assert least_factor(f, seed) == want, (params, seed)
+    assert even == 533
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([37, 101, 379, 1031, 4621]), data=st.data())
+def test_fabc_least_irreducible_matches_least_factor_at_larger_p(p, data):
+    a = data.draw(st.integers(2, min((p - 1) // 2, 600)))
+    c = 2 * data.draw(st.integers(1, a // 2))
+    params = FabcParams(a, a, c, p)  # 2a < p, so f(1) = C(2a, c) != 0
+    seed = data.draw(st.integers(0, 2**32))
+    want = least_factor(fabc(params, monic=True), seed + 1)
+    assert fabc_least_irreducible(params, seed) == want
+
+
+def test_fabc_least_irreducible_needs_a_strip_reduced_symmetric_member():
+    # a != b, c > a (a root at 0), f(1) = C(40, 12) = 0 mod 29, and the
+    # constant f(a,a,0)
+    for params in (FabcParams(6, 9, 4, 29), FabcParams(4, 4, 6, 13), FabcParams(20, 20, 12, 29)):
+        with pytest.raises(HypothesisNotMet):
+            fabc_least_irreducible(params, 1)
+    with pytest.raises(InvalidInput):
+        fabc_least_irreducible(FabcParams(5, 5, 0, 13), 1)
+
+
+def test_fabc_least_irreducible_searches_at_half_degree(monkeypatch):
+    # the M7 radical f(108, 108, 54) at p = 379, base 5 has its least
+    # factor at t-degree 10 from a u-factor of degree 5 without a square
+    # discriminant: the search steps no further than u-degree 10, and
+    # every modulus but the rebuilt block's has degree <= 27; f itself is
+    # never built
+    params = FabcParams(108, 108, 54, 379)
+    want = least_factor(fabc(params, monic=True), seed=5)
+    monkeypatch.setattr(fabc_module, "fabc", lambda *args, **kwargs: pytest.fail("built f"))
+    moduli, powmod = [], ff.poly_powmod
+    monkeypatch.setattr(fabc_module, "poly_powmod", lambda b, e, mod: moduli.append(("square", mod.degree, e)) or powmod(b, e, mod))
+    monkeypatch.setattr(ff, "poly_powmod", lambda b, e, mod: moduli.append(("step", mod.degree, e)) or powmod(b, e, mod))
+    assert fabc_least_irreducible(params, seed=5) == want
+    steps = [m for m in moduli if m[0] == "step" and m[2] == 379]
+    assert len(steps) == 10 and max(d for _, d, _ in steps) <= 27

@@ -427,6 +427,42 @@ def test_least_factor_at_zero_or_minus_one_splits_nothing(coeffs, monkeypatch):
     assert got.coeffs == ((0, 1) if coeffs[0] == 0 else (1, 1))
 
 
+def test_distinct_degree_yields_every_degree_step(monkeypatch):
+    # the M7 radical at p = 379, base 5 (degree 54) has blocks at d = 10
+    # and 22: one powmod per step, up to the step a consumer stops at,
+    # and the constant 1 at every step with no factor
+    rad = h1_radical(OrbitContext(parse_datum("7:4:3,1,1,2"), 379, 5))
+    rad = FpUniPoly(rad.field, rad.coeffs)
+    steps, powmod = [], ff.poly_powmod
+    monkeypatch.setattr(ff, "poly_powmod", lambda b, e, mod: steps.append(e) or powmod(b, e, mod))
+    blocks = ff._distinct_degree(rad)
+    assert [(g, d) for g, d in itertools.islice(blocks, 9)] == [(FpUniPoly.one(rad.field), d) for d in range(1, 10)]
+    assert len(steps) == 9
+    assert [(g.degree, d) for g, d in blocks] == [(10, 10)] + [(0, d) for d in range(11, 22)] + [(44, 22)]
+    assert len(steps) == 22
+    # t (t^5 - t - 1) over F_5: once the cofactor of degree 5 is below
+    # twice the step, it is irreducible, and steps 3 to 5 take no powmod
+    steps.clear()
+    f = FpUniPoly(F5, [0, 4, 4, 0, 0, 0, 1])
+    assert [(g.coeffs, d) for g, d in ff._distinct_degree(f)] == [
+        ((0, 1), 1), ((1,), 2), ((1,), 3), ((1,), 4), ((4, 4, 0, 0, 0, 1), 5)]
+    assert len(steps) == 2
+
+
+def test_ext_roots_takes_no_powmod_past_dmax(monkeypatch):
+    # the same radical: ext_roots at dmax = 9 takes nine steps and finds
+    # nothing, at dmax = 10 ten steps and the factor of degree 10
+    rad = h1_radical(OrbitContext(parse_datum("7:4:3,1,1,2"), 379, 5))
+    rad = FpUniPoly(rad.field, rad.coeffs)
+    steps, powmod = [], ff.poly_powmod
+    monkeypatch.setattr(ff, "poly_powmod", lambda b, e, mod: steps.append(e) or powmod(b, e, mod))
+    assert ext_roots(rad, dmax=9, seed=1) == []
+    assert steps == [379] * 9
+    steps.clear()
+    assert [d for _, d in ext_roots(rad, dmax=10, seed=1)] == [10]
+    assert steps.count(379) == 10
+
+
 def test_distinct_degree_computes_one_barrett_inverse_per_modulus(monkeypatch):
     # the M7 radical at p = 379, base 5, has degree 54 (packed powmod) and
     # its first block at d = 10: ten powers mod one modulus, then twelve
@@ -437,12 +473,12 @@ def test_distinct_degree_computes_one_barrett_inverse_per_modulus(monkeypatch):
     barrett, powmod = ff._barrett_inverse, ff.poly_powmod
     monkeypatch.setattr(ff, "_barrett_inverse", lambda f, p: inverses.append(tuple(f)) or barrett(f, p))
     monkeypatch.setattr(ff, "poly_powmod", lambda b, e, mod: moduli.append(mod.coeffs) or powmod(b, e, mod))
-    block, d = next(ff._distinct_degree(FpUniPoly(rad.field, rad.coeffs)))
+    block, d = ff._first_block(FpUniPoly(rad.field, rad.coeffs))
     assert (block.degree, d) == (10, 10)
     assert len(moduli) == 10 and inverses == [rad.coeffs]
     inverses.clear()
     moduli.clear()
-    blocks = list(ff._distinct_degree(FpUniPoly(rad.field, rad.coeffs)))
+    blocks = [(g, d) for g, d in ff._distinct_degree(FpUniPoly(rad.field, rad.coeffs)) if g.degree]
     assert [(g.degree, d) for g, d in blocks] == [(10, 10), (44, 22)]
     assert len(inverses) == len(set(inverses)) == len(set(moduli)) == 2
 
