@@ -19,7 +19,6 @@ from .ff import (
     is_prime_u64,
     poly_powmod,
     _distinct_degree,
-    _gcd_coeffs,
     _least_in_block,
     _pack,
     _reduce_slots,
@@ -260,16 +259,16 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
         makes it monic, as its t^(2e) coefficient is G(0).  So
             gcd_t = (1 + t)^[c_1, c_2 both odd] Y^e G(X / Y),
         and Euclid runs on Q_1, Q_2 of degree D_k, about c / 2.
-    G is found as gcd(r_1, r_2), the same gcd with w = 4u, and
-    Y^e G(X/Y) = sum_j g_j t^j (1 + t)^(2(e-j)) for G(4u) = sum_j g_j u^j
-    (_homogenize).  When G is all of one Q_k (e = D_k), the gcd is instead
+    G is found as gcd(r_1, r_2) by FpUniPoly.gcd, the same gcd with
+    w = 4u, and Y^e G(X/Y) = sum_j g_j t^j (1 + t)^(2(e-j)) for
+    G(4u) = sum_j g_j u^j (_homogenize).  When G is all of one Q_k (e = D_k), the gcd is instead
     fabc(p_k, monic=True), divided by 1 + t when c_k is odd and the other
     c even: one closed form in linear time in place of the build."""
     if p1.p != p2.p or not all(q.a == q.b and q.c <= q.a for q in (p1, p2)):
         return fabc(p1).gcd(fabc(p2))
-    p = p1.p
+    p, field = p1.p, PrimeField(p1.p)
     r1, r2 = _kummer_coeffs(p1.a, p1.c, p), _kummer_coeffs(p2.a, p2.c, p)
-    g = _gcd_coeffs(r1, r2, p)
+    g = FpUniPoly._raw(field, r1).gcd(FpUniPoly._raw(field, r2)).coeffs
     odd = p1.c % 2 == 1 and p2.c % 2 == 1
     for q, r in ((p1, r1), (p2, r2)):
         if len(g) == len(r):
@@ -279,7 +278,7 @@ def fabc_gcd(p1: FabcParams, p2: FabcParams) -> FpUniPoly:
     h = _homogenize([c * inv % p for c in g], p)
     if odd:
         h = [(x + y) % p for x, y in zip(h + [0], [0] + h)]
-    return FpUniPoly._raw(PrimeField(p), h)
+    return FpUniPoly._raw(field, h)
 
 
 def fabc_least_irreducible(params: FabcParams, seed: int) -> FpUniPoly:

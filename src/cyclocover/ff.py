@@ -25,11 +25,12 @@ constant:
     O(n^2) word operations in C, a handful of integer operations per
     quotient term and per remainder, and no Python loop over
     coefficients; from 6,000 on, half-gcd, O(M(n) log n);
-  - powmod mod f of degree n: below n = 512, square-and-multiply on
+  - powmod mod f of degree n >= 2: square-and-multiply on
     Kronecker-packed integers, each product reduced by a polynomial
-    Barrett step with one inverse series per modulus, so 3 M(n) and no
-    Python loop over coefficients per step; from 512 on, one product and
-    one division on lists per step.
+    Barrett step with one inverse series per modulus, so 3 M(n) per
+    step; below n = 256 the slots come back mod p slot-wise with no
+    Python loop over coefficients, from 256 on by an exact unpack and
+    pack, one pass over them, into slots 0.5-0.6 times as wide.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ _HGCD_BASE = 100
 # Divisions with a quotient of at least this many coefficients find it by
 # Newton iteration, and gcd takes such a quotient on lists before packing.
 _NEWTON_MIN = 32
-# poly_powmod runs on packed integers for moduli of degree 2 up to below
-# this, on lists from here on: its slots are up to twice as wide as a
-# list product's (64 against 32 bits at p = 2039), which from about 512
-# coefficients costs more than the list path's division does
-_POWMOD_PACKED_MAX = 512
+# poly_powmod brings its packed slots back mod p by the slot-wise Barrett
+# step for moduli of degree 2 up to below this, exactly (unpack mod p and
+# pack) from here on: the exact step's narrower slots (24 against 48
+# bits at p = 53, n = 256) outweigh its pass over them from about 256
+# coefficients at every p timed, 3 to 2^31 - 1
+_POWMOD_PACKED_MAX = 256
 
 _BIG_ENDIAN = sys.byteorder == "big"
 # array typecodes of 1-, 2-, 4- and 8-byte unsigned slots, by size
@@ -743,13 +745,21 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     ParamOutOfRange); e = 0 gives 1 for every nonzero mod, even a
     constant one.
 
-    For n = deg mod from 2 up to below _POWMOD_PACKED_MAX the
-    square-and-multiply runs on Kronecker-packed integers (left to right,
-    each product then reduced mod f = mod), so no Python loop runs over
-    coefficients until the result is unpacked; other moduli take the same
-    left-to-right loop on FpUniPoly products and remainders, so either
-    way e costs bitlen(e) - 1 squarings and one product per further set
-    bit.
+    A linear mod = c1 t + c0 leaves the constant residue b(r) of the base
+    b at r = -c0 / c1, so the answer is pow(b(r), e, p).  For every
+    modulus f = mod of degree n >= 2 the square-and-multiply runs on
+    Kronecker-packed integers, left to right, each product then reduced
+    mod f, so e costs bitlen(e) - 1 squarings and one product per further
+    set bit.  Only the step that brings slots back mod p depends on n:
+    below _POWMOD_PACKED_MAX it is the slot-wise Barrett step of
+    _gcd_coeffs, and no Python loop runs over coefficients until the
+    result is unpacked; from there on it is exact: it unpacks the slots
+    up to the top nonzero one mod p and packs them again, so a power of
+    low degree pays no pass over n slots.  That is a pass over the slots,
+    but the slots then need only about log2(2 n p^2) bits, against the
+    2X - k + 1, about log2(36 n^2 p^3), of the slot-wise step
+    (k = bitlen(p), 2^X > 6 n p^2), and the narrower products win once n
+    is large.
 
     Reduction.  A product a of two residues of degree < n has degree at
     most 2n - 2; one below degree n needs no reduction mod f.  Otherwise,
@@ -772,8 +782,8 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     and the n of rho.  So rev(mu) = 1 / rev(f) mod t^(n-1), a series
     whose constant term lc f is a unit.
 
-    The slot bound.  The slot-wise Barrett step of _gcd_coeffs takes
-    slots below 2^X to [0, 2p), and _slot_layout makes 2^X > 6 n p^2.
+    The slot bound of the slot-wise step.  It takes slots below 2^X to
+    [0, 2p), and _slot_layout makes 2^X > 6 n p^2.
     Every packed residue has n slots in [0, 2p) (the base: [0, p)), and
     mu and -f have slots in [0, p).  A product of two residues has slots
     of at most n (2p - 1)^2 < 4 n p^2, and is reduced at once when its
@@ -782,43 +792,54 @@ def poly_powmod(base: FpUniPoly, e: int, mod: FpUniPoly) -> FpUniPoly:
     slots in [0, 2p); a + Q (-f) then has slots below
     4 n p^2 + 2 n p^2 = 6 n p^2 before its last reduction.  All these
     are below 2^X <= 2^w, so no slot carries into the next, and each
-    value reduced has at most the n slots that PAT covers."""
+    value reduced has at most the n slots that PAT covers.
+
+    The slot bound of the exact step.  It leaves every slot in [0, p), so
+    every packed residue, the base, mu and -f have slots in [0, p).  A
+    product of two residues of at most n slots each has slots of at most
+    n (p - 1)^2.  Its high part a1 has degree at most n - 2, so a1 mu
+    (deg mu = n - 2) has slots of at most (n - 1)(p - 1)^2, and Q has at
+    most n - 1 slots, so Q (-f) has slots of at most (n - 1)(p - 1)^2 and
+    a + Q (-f) of at most (2n - 1)(p - 1)^2 < 2 n (p - 1)^2.  Slots take
+    the fewest bytes that hold 2 n (p - 1)^2, so no slot carries into the
+    next, and each value the step unpacks has at most n slots: a product
+    below degree n, a1, Q and (a + Q (-f)) mod t^n."""
     if e < 0:
         raise ParamOutOfRange(f"negative exponent {e}")
-    n = mod.degree
-    if n is None or not 2 <= n < _POWMOD_PACKED_MAX:
-        base = base % mod
-        if e == 0:
-            return FpUniPoly.one(base.field)
-        result = base
-        for bit in bin(e)[3:]:
-            result = (result * result) % mod
-            if bit == "1":
-                result = (result * base) % mod
-        return result
     base._check(mod)
-    field, p, f = mod.field, mod.field.p, mod.coeffs
+    field, p, f, n = mod.field, mod.field.p, mod.coeffs, mod.degree
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
     b = _divrem_coeffs(base.coeffs, f, p)[1]
-    if e == 0 or not b:
-        return FpUniPoly._raw(field, [1] if e == 0 else [])
-    size, x, m, _, pat = _slot_layout(p, n, 6 * n * p * p)
+    if e == 0 or n == 1 or not b:
+        # a constant: 1, b(r)^e at the root r of a linear modulus, or 0
+        return FpUniPoly(field, [pow(b[0] if b else 0, e, p)])
+    if n < _POWMOD_PACKED_MAX:
+        size, x, m, _, pat = _slot_layout(p, n, 6 * n * p * p)
+
+        def step(v):
+            return _reduce_slots(v, p, x, m, pat)
+    else:
+        size = ((2 * n * (p - 1) ** 2).bit_length() + 7) // 8
+
+        def step(v):
+            return _pack(_unpack(v, -(-v.bit_length() // (8 * size)) or 1, size, p), size)
     w = 8 * size
     neg = _pack([p - c if c else 0 for c in f[:n]], size)
     low = (1 << w * n) - 1
     mu = mod._barrett
-    B, db = _pack(b, size), len(b) - 1
-    R, dr = B, db
+    R, dr = B, db = _pack(b, size), len(b) - 1
     for bit in bin(e)[3:]:
         # square, then multiply by the base where the bit is set
         for y, dy in ((R, dr), (B, db)) if bit == "1" else ((R, dr),):
             a, da = R * y, dr + dy
             if da < n:
-                R, dr = _reduce_slots(a, p, x, m, pat), da
+                R, dr = step(a), da
                 continue
             if mu is None:
                 mu = mod._barrett = _pack(_barrett_inverse(f, p), size)
-            q = _reduce_slots(_reduce_slots(a >> w * n, p, x, m, pat) * mu >> w * (n - 2), p, x, m, pat)
-            R, dr = _reduce_slots((a + q * neg) & low, p, x, m, pat), n - 1
+            q = step(step(a >> w * n) * mu >> w * (n - 2))
+            R, dr = step((a + q * neg) & low), n - 1
     return FpUniPoly._raw(field, _trimmed(_unpack(R, dr + 1, size, p)))
 
 
@@ -897,9 +918,9 @@ def _distinct_degree(f: FpUniPoly):
     splits off gcd(cur, h - t).  cur is a new object only when a block is
     found, so poly_powmod computes its Barrett inverse at the first step
     whose product reaches deg cur and reuses it at every later step until
-    then: one inverse per modulus, not one per d.  Once deg cur < 2d, cur
-    has no factor of degree below d, so it is irreducible: the steps up
-    to deg cur need no powmod."""
+    then: one inverse per modulus, not one per d, at every degree.  Once
+    deg cur < 2d, cur has no factor of degree below d, so it is
+    irreducible: the steps up to deg cur need no powmod."""
     p = f.field.p
     t = FpUniPoly(f.field, [0, 1])
     one = FpUniPoly.one(f.field)

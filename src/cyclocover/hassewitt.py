@@ -132,14 +132,13 @@ def _require_coprime(datum: MonodromyDatum, p: int) -> None:
         raise PDividesM(f"p = {p} shares a factor with m = {datum.m}")
 
 
-def branch_exponents(datum: MonodromyDatum, p: int, tau: int, order=None) -> tuple:
-    """b_k = floor(p * ((tau*a_k) mod m) / m), optionally with the branch
-    slots permuted by `order` (a tuple of original indices)."""
+def branch_exponents(datum: MonodromyDatum, p: int, tau: int) -> tuple:
+    """b_k = floor(p * ((tau*a_k) mod m) / m), in the datum's branch order
+    (OrbitContext.ordered_datum permutes the labels)."""
     m = datum.m
     if not 1 <= tau <= m - 1:
         raise IndexOutOfRange(f"character index {tau} outside 1..{m - 1}")
-    labels = datum.a if order is None else tuple(datum.a[k] for k in order)
-    return tuple((p * ((tau * ak) % m)) // m for ak in labels)
+    return tuple((p * ((tau * ak) % m)) // m for ak in datum.a)
 
 
 def first_covering_index(bs, n: int) -> int:

@@ -647,9 +647,9 @@ def supersingular_minus_one(datum: MonodromyDatum, p: int) -> bool:
     PrimeField(p)
     i, j = repeated
     outer = [k for k in range(4) if k not in (i, j)]
-    order = (outer[0], i, j, outer[1])
+    swapped = MonodromyDatum(m, 4, tuple(datum.a[k] for k in (outer[0], i, j, outer[1])))
     for c in _balanced_reps(signature(datum), m):
-        bs = branch_exponents(datum, p, c, order=order)
+        bs = branch_exponents(swapped, p, c)
         closed = _phi_fabc_params(p, bs, sum(bs) - p + 1)
         if closed is not None and fabc(closed[0]).evaluate(p - 1) != 0:
             return False

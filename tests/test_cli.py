@@ -1151,6 +1151,36 @@ def test_large_p_witness_is_byte_identical_to_the_recorded_digest(capsys, argv, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# recorded while poly_powmod still took moduli of degree 512 and up
+# through a loop of FpUniPoly products and divisions: sha256 of the json
+# stdout of witness runs whose certificate search reduces mod a modulus of
+# degree 429 to 1,050, so past _POWMOD_PACKED_MAX (0.04-0.8 s each then,
+# in process, 2-vCPU x86-64, Python 3.11.7)
+
+EXACT_STEP_WITNESS_SHA256 = [
+    ("witness 7:4:3,1,1,2 -p 6469 --b0 5 --seed 1 -o json", "e2f67e8117512bf5bc26cbc9962bf32e49b620448e5f7e72fa52529aeab5acdd"),
+    ("witness 7:4:3,1,1,2 -p 7351 --b0 5 --seed 1 -o json", "c3811ae5421cf8be6ccc4ecda843c4fe594228412741e1fb3166e13b76c3c147"),
+    ("witness 7:4:3,1,1,2 -p 10487 --b0 4 --seed 1 -o json", "1614b5cebe6b9c221a058e210a6e46c6f3a8153618db0581ff3b6bf5751b72ce"),
+    ("witness 7:4:3,1,1,2 -p 14533 --b0 5 --seed 1 -o json", "7c8132b4b1f227655d2b6dfcdaaa298955d4a69a9b4175e1a6fbde391e789ca3"),
+    ("witness 7:4:1,2,5,6 -p 7351 --b0 1 --seed 1 -o json", "d5f10c041acf98af7e6144c9b7bbb977b0eec0f0815d9ae6ffee06dd14ac1c47"),
+    ("witness 5:4:1,2,3,4 -p 4349 --b0 2 --seed 1 -o json", "388c184cf2bf1382b186cddd0287612066240de1b570f376c908eaec162baa0c"),
+    ("witness 5:4:1,2,3,4 -p 5011 --b0 1 --seed 1 -o json", "aa36d3d2ad660115badf5f7774c132a9cc337025858ce97092b6d1dd508ec135"),
+    ("witness 5:4:1,1,1,2 -p 5011 --b0 2 --seed 1 -o json", "4ed0ad65bb30960be3ffa1e173b351d182d6378452de24cd5c4ce0f0c8642aad"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_STEP_WITNESS_SHA256)
+def test_exact_step_witness_is_byte_identical_to_the_recorded_digest(capsys, monkeypatch, argv, digest):
+    # the Barrett inverse is computed once per modulus whose products
+    # reach its degree, so its degrees show that the exact step ran
+    degrees, barrett = [], ff._barrett_inverse
+    monkeypatch.setattr(ff, "_barrett_inverse", lambda f, p: degrees.append(len(f) - 1) or barrett(f, p))
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert max(degrees) >= ff._POWMOD_PACKED_MAX
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_class_pm1_witness_data_are_every_sorted_four_point_datum():
     data = [f"{m}:4:{','.join(map(str, a))}" for m in (5, 7)
             for a in itertools.combinations_with_replacement(range(1, m), 4)

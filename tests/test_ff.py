@@ -930,8 +930,9 @@ def test_gcd_on_the_m7_composite():
 
 
 # ---------------------------------------------------------------------------
-# poly_powmod against the schoolbook square-and-multiply: packed for
-# moduli of degree 2 up to below _POWMOD_PACKED_MAX, on lists otherwise
+# poly_powmod against the schoolbook square-and-multiply: one packed loop
+# for every modulus of degree 2 or more, with the slot-wise step below
+# _POWMOD_PACKED_MAX and the exact one from there on; pow for degree 1
 
 POWMOD_PRIMES = (3, 53, 4621, 2**31 - 1)
 
@@ -948,7 +949,7 @@ def _powmod_case(p, base, e, f):
 
 @pytest.mark.parametrize("p", POWMOD_PRIMES)
 def test_powmod_matches_schoolbook(p):
-    # moduli of degree 0 and 1 (the list loop) and 2, 3 and 17 (packed),
+    # moduli of degree 0 and 1 (a constant residue) and 2, 3 and 17 (packed),
     # monic and not; bases of degree below, at and above deg f, and zero
     rng = random.Random(p + 16)
     for df in (0, 1, 2, 3, 17):
@@ -976,7 +977,8 @@ def test_powmod_property(p, df, lb, k, seed):
 
 
 def test_powmod_at_the_packed_threshold():
-    # the largest packed modulus and the smallest one on lists
+    # the largest modulus of the slot-wise step and the smallest of the
+    # exact one
     rng = random.Random(17)
     for df in (ff._POWMOD_PACKED_MAX - 1, ff._POWMOD_PACKED_MAX):
         for p, e in ((3, 3), (2**31 - 1, 2)):
@@ -987,20 +989,58 @@ def test_powmod_at_the_packed_threshold():
 def test_powmod_slots_stay_below_the_barrett_bound(p, monkeypatch):
     # base and modulus with every coefficient p - 1 (so the modulus is not
     # monic): every slot the Barrett step gets must be below the proven
-    # 6 n p^2, and so below 2^X
+    # 6 n p^2, and so below 2^X; the count shows the patched step ran
     reduce_slots = ff._reduce_slots
     for df, e in ((2, 2**64 + 1), (3, 2**64 + 1), (40, (p**4 - 1) // 2), (120, p)):
         size, x, *_ = _slot_layout(p, df, 6 * df * p * p)
+        calls = []
 
-        def checked(v, p_, x_, *args, size=size, x=x, top=6 * df * p * p):
+        def checked(v, p_, x_, *args, size=size, x=x, top=6 * df * p * p, calls=calls):
             n = -(-v.bit_length() // (8 * size))
             assert x_ == x and max(_unpack(v, n, size, 1 << 8 * size), default=0) < min(top, 2**x)
+            calls.append(1)
             return reduce_slots(v, p_, x_, *args)
 
         monkeypatch.setattr(ff, "_reduce_slots", checked)
         full = [p - 1] * (df + 1)
         _powmod_case(p, full[:-1], e, full)
         _powmod_case(p, full * 2, e, full)
+        assert calls, (p, df)
+
+
+@pytest.mark.parametrize("p", POWMOD_PRIMES)
+def test_powmod_exact_slots_stay_below_the_bound(p, monkeypatch):
+    # base and modulus with every coefficient p - 1 at the threshold, one
+    # above and at 700: every value the exact step unpacks has at most n
+    # slots, each below the proven 2 n (p - 1)^2, and the result is the
+    # slot-wise step's (the threshold moved past n).  mu is computed
+    # before the count and the base is below degree n, so every unpack
+    # counted is poly_powmod's own.
+    field = PrimeField(p)
+    unpack = ff._unpack
+    for n in (ff._POWMOD_PACKED_MAX, ff._POWMOD_PACKED_MAX + 1, 700):
+        top = 2 * n * (p - 1) ** 2
+        size = (top.bit_length() + 7) // 8
+        mod = FpUniPoly(field, [p - 1] * (n + 1))
+        poly_powmod(FpUniPoly(field, [0, 1]), 2 * n, mod)  # keeps mu on mod
+        calls = []
+
+        def checked(v, k, size_, p_, n=n, top=top, size=size, calls=calls):
+            assert size_ == size and k <= n and v.bit_length() <= 8 * size * k
+            assert max(unpack(v, k, size, 1 << 8 * size)) < top
+            calls.append(k)
+            return unpack(v, k, size_, p_)
+
+        base = FpUniPoly(field, [p - 1] * n)
+        for e in (2, 7, min(p, 2**10 + 1)):
+            monkeypatch.setattr(ff, "_unpack", checked)
+            monkeypatch.setattr(ff, "_reduce_slots", None)
+            got = poly_powmod(base, e, mod)
+            monkeypatch.undo()
+            monkeypatch.setattr(ff, "_POWMOD_PACKED_MAX", n + 1)
+            assert got == poly_powmod(base, e, FpUniPoly(field, mod.coeffs)), (p, n, e)
+            monkeypatch.undo()
+        assert calls, (p, n)
 
 
 
@@ -1010,7 +1050,7 @@ def test_barrett_inverse_matches_schoolbook(p):
     # then a stride through 600 and both sides of _POWMOD_PACKED_MAX (the
     # schoolbook quotient costs n^2 steps, 0.1 s at n = 600)
     rng = random.Random(p + 19)
-    sizes = [*range(2, 65), *range(65, 601, 41), 511, 512, 600]
+    sizes = [*range(2, 65), *range(65, 601, 41), ff._POWMOD_PACKED_MAX - 1, ff._POWMOD_PACKED_MAX, 600]
     for n in sizes:
         f = _rand_coeffs(n + 1, p, rng)
         for lead in (1, f[-1]):
@@ -1018,8 +1058,9 @@ def test_barrett_inverse_matches_schoolbook(p):
             want = divrem_schoolbook([0] * (2 * n - 2) + [1], f, p)[0]
             assert _barrett_inverse(f, p) == want, (p, n, lead)
 
-def test_powmod_list_loop_matches_schoolbook():
-    # moduli of degree 1 and from _POWMOD_PACKED_MAX on take the list loop
+def test_powmod_linear_and_exact_moduli_match_schoolbook():
+    # moduli of degree 1 (one pow) and past _POWMOD_PACKED_MAX (the exact
+    # step)
     rng = random.Random(53)
     for p, df in ((53, 1), (4621, 1), (2**31 - 1, 1), (53, ff._POWMOD_PACKED_MAX + 3)):
         f = _rand_coeffs(df + 1, p, rng)
@@ -1028,22 +1069,49 @@ def test_powmod_list_loop_matches_schoolbook():
             _powmod_case(p, base, e, f)
 
 
-def test_powmod_list_loop_squares_only_below_the_top_bit(monkeypatch):
+def test_powmod_squares_only_below_the_top_bit(monkeypatch):
     # e = 53 = 0b110101: five squarings and a product with the base for
-    # each of the three set bits below the top one, at degree 1 and 512
-    calls = []
-    mul = FpUniPoly.__mul__
-
-    def counted(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(FpUniPoly, "__mul__", counted)
+    # each of the three set bits below the top one.  A base of degree 2
+    # keeps every product below degree 107, so each takes one step back
+    # mod p and no Barrett quotient: eight slot-wise steps below
+    # _POWMOD_PACKED_MAX, eight exact ones (an unpack each, and one more
+    # for the result) past it.  A linear modulus takes one pow of the
+    # constant residue b(-3) = 5 - 21 + 99 = 30 with the exponent itself.
     field = PrimeField(53)
-    for mod in ([3, 1], [2] * (ff._POWMOD_PACKED_MAX + 1)):
-        calls.clear()
-        poly_powmod(FpUniPoly(field, [5, 7, 11]), 53, FpUniPoly(field, mod))
-        assert len(calls) == 8
+    base = FpUniPoly(field, [5, 7, 11])
+    pows = []
+    monkeypatch.setattr(ff, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
+    assert poly_powmod(base, 53, FpUniPoly(field, [3, 1])) == FpUniPoly(field, [pow(30, 53, 53)])
+    assert [args for args in pows if args[1] == 53] == [(30, 53, 53)]
+    for name, n, steps in (("_reduce_slots", ff._POWMOD_PACKED_MAX - 1, 8),
+                           ("_unpack", ff._POWMOD_PACKED_MAX + 1, 9)):
+        calls, step = [], getattr(ff, name)
+        monkeypatch.setattr(ff, name, lambda *args, step=step: calls.append(1) or step(*args))
+        got = poly_powmod(base, 53, FpUniPoly(field, [2] * (n + 1)))
+        monkeypatch.undo()
+        assert len(calls) == steps, name
+        assert list(got.coeffs) == powmod_schoolbook([5, 7, 11], 53, [2] * (n + 1), 53)
+
+
+def test_powmod_keeps_one_barrett_inverse_per_modulus_past_the_threshold(monkeypatch):
+    # repeated calls mod one object past _POWMOD_PACKED_MAX compute mu
+    # once; the only division is each call's reduction of the base
+    p, n = 53, ff._POWMOD_PACKED_MAX + 5
+    rng = random.Random(55)
+    field = PrimeField(p)
+    f = _rand_coeffs(n + 1, p, rng)
+    mod = FpUniPoly(field, f)
+    inverses, divisions = [], []
+    barrett, divrem = ff._barrett_inverse, ff._divrem_coeffs
+    monkeypatch.setattr(ff, "_barrett_inverse", lambda g, q: inverses.append(tuple(g)) or barrett(g, q))
+    monkeypatch.setattr(ff, "_divrem_coeffs", lambda a, b, q: divisions.append(len(a)) or divrem(a, b, q))
+    bases = [_rand_coeffs(n, p, rng), _rand_coeffs(2 * n, p, rng), _rand_coeffs(n, p, rng)]
+    got = [poly_powmod(FpUniPoly(field, b), e, mod) for b, e in zip(bases, (p, 7, p + 2))]
+    assert inverses == [mod.coeffs]
+    assert divisions == [n, 2 * n, n]
+    monkeypatch.undo()
+    for g, b, e in zip(got, bases, (p, 7, p + 2)):
+        assert list(g.coeffs) == powmod_schoolbook(b, e, f, p)
 
 
 def test_powmod_rejects_a_negative_exponent():
@@ -1054,6 +1122,19 @@ def test_powmod_rejects_a_negative_exponent():
     # e = 0 gives 1, also for a constant modulus
     for mod in ([3], [0, 1], [2, 0, 0, 1]):
         assert poly_powmod(t, 0, FpUniPoly(F13, mod)) == FpUniPoly.one(F13)
+
+
+def test_powmod_errors_come_in_order():
+    # a negative exponent, then mixed fields, then the zero modulus (even
+    # at e = 0), whatever the modulus degree
+    t = FpUniPoly(F13, [0, 1])
+    for mod in ([], [1], [2, 1], [1] * (ff._POWMOD_PACKED_MAX + 1)):
+        with pytest.raises(ParamOutOfRange):
+            poly_powmod(t, -1, FpUniPoly(F5, mod))
+        with pytest.raises(InvalidInput):
+            poly_powmod(t, 0, FpUniPoly(F5, mod))
+    with pytest.raises(ZeroDivisionError):
+        poly_powmod(t, 0, FpUniPoly.zero(F13))
 
 
 def test_ext_field_inverse_is_byte_identical_to_the_recorded_digest():

@@ -92,7 +92,8 @@ def oracle_terms(d):
 def test_branch_exponents_values():
     assert branch_exponents(D7, 13, 2) == (11, 3, 3, 7)
     assert branch_exponents(D7, 13, 3) == (3, 5, 5, 11)
-    assert branch_exponents(D7, 13, 3, order=(3, 1, 2, 0)) == (11, 5, 5, 3)
+    # a permuted datum, as OrbitContext.ordered_datum builds one
+    assert branch_exponents(MonodromyDatum(7, 4, (2, 1, 1, 3)), 13, 3) == (11, 5, 5, 3)
     with pytest.raises(IndexOutOfRange):
         branch_exponents(D7, 13, 0)
     with pytest.raises(IndexOutOfRange):
